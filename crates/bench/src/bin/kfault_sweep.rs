@@ -11,8 +11,8 @@
 //! Exits nonzero if any combination diverges from its golden run, printing
 //! one deterministic reproducer line per divergence.
 
-use fluke_bench::kfault_sweep::{sweep, sweep_configs, SweepWorkload};
-use fluke_core::KfaultKind;
+use fluke_bench::kfault_sweep::{sweep, SweepWorkload};
+use fluke_core::{Config, KfaultKind};
 
 fn main() {
     let budget = std::env::var("FLUKE_KFAULT_SITES")
@@ -31,7 +31,7 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     let mut total_runs = 0;
     for w in workloads {
-        for cfg in sweep_configs() {
+        for cfg in Config::comparable() {
             for kind in KfaultKind::ALL {
                 match sweep(w, &cfg, kind, budget) {
                     Ok(r) => {

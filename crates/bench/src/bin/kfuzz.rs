@@ -2,7 +2,8 @@
 //! baseline and guided campaigns for both tiers under identical budgets
 //! and write `BENCH_fuzz.json`.
 //!
-//! Usage: `kfuzz [--check] [--out FILE] [--write-corpus]`.
+//! Usage: `kfuzz [--check] [--out FILE] [--write-corpus]` (see
+//! [`fluke_bench::gate`]).
 //!
 //! * `FLUKE_KFUZZ_SEED=N` sets the campaign seed (default 1).
 //! * `FLUKE_KFUZZ_CASES=N` sets the per-campaign case budget
@@ -13,21 +14,28 @@
 //! * `--write-corpus` writes each guided campaign's minimized corpus
 //!   back to the corpus directory.
 //! * `--check` exits non-zero on any finding, on a guided campaign that
-//!   fails to strictly dominate its baseline, and — when a committed
-//!   report exists at the output path — on coverage collapse against it.
+//!   fails to strictly dominate its baseline, and on coverage collapse
+//!   against the committed `BENCH_fuzz.json`. Without it, any finding
+//!   still exits 1.
 //!
 //! Malformed knobs are structured, fatal errors (never silent
 //! defaults): `FLUKE_KFUZZ_CASES=lots` exits 2 naming the knob and the
 //! rejected value.
 
+use fluke_bench::gate::{Gate, USAGE_EXIT};
 use fluke_bench::kfuzz::{self, tier_label, FuzzReport, ALL_TIERS};
 use fluke_core::kfuzz::{corpus_from_text, corpus_to_text, env_knob, FuzzProgram};
-use fluke_json::Json;
+
+const GATE: Gate = Gate {
+    bin: "kfuzz",
+    committed: "BENCH_fuzz.json",
+    flags: &["--write-corpus"],
+};
 
 fn knob(name: &'static str, default: u64, lo: u64, hi: u64) -> u64 {
     env_knob(name, default, lo, hi).unwrap_or_else(|e| {
         eprintln!("kfuzz: {e}");
-        std::process::exit(2);
+        std::process::exit(USAGE_EXIT);
     })
 }
 
@@ -40,36 +48,18 @@ fn load_corpus(dir: &str, tier: &str) -> Vec<FuzzProgram> {
         Ok(c) => c,
         Err(e) => {
             eprintln!("kfuzz: {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(USAGE_EXIT);
         }
     }
 }
 
 fn main() {
-    let mut check = false;
-    let mut write_corpus = false;
-    let mut out = "BENCH_fuzz.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--write-corpus" => write_corpus = true,
-            "--out" => out = args.next().expect("--out needs a file name"),
-            other => {
-                eprintln!("usage: kfuzz [--check] [--out FILE] [--write-corpus] (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = GATE.args();
     let seed = knob("FLUKE_KFUZZ_SEED", 1, 0, u64::MAX);
     let cases = knob("FLUKE_KFUZZ_CASES", 96, 1, 1 << 20);
     let corpus_dir = std::env::var("FLUKE_KFUZZ_CORPUS").unwrap_or_else(|_| "corpus".to_string());
 
-    // Read the committed report *before* overwriting it: `--check` diffs
-    // the fresh run against it below.
-    let committed = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|s| Json::parse(&s).ok());
+    let committed = GATE.committed(&args);
 
     println!("=== kfuzz: guided vs fixed-seed campaigns (seed {seed}, {cases} cases) ===\n");
     let mut reports: Vec<FuzzReport> = Vec::new();
@@ -92,7 +82,7 @@ fn main() {
         reports.iter().map(|r| r.guided.sigs.len()).sum::<usize>(),
     );
 
-    if write_corpus {
+    if args.has("--write-corpus") {
         std::fs::create_dir_all(&corpus_dir).expect("create corpus dir");
         for r in &reports {
             let path = format!("{corpus_dir}/{}.kfz", r.tier);
@@ -101,25 +91,9 @@ fn main() {
         }
     }
 
-    let doc = kfuzz::to_json(&reports);
-    std::fs::write(&out, format!("{doc}\n")).expect("write fuzz report");
-    println!("wrote {out}");
-
-    if check {
-        let baseline = committed.unwrap_or_else(|| {
-            // First run ever: gate findings and domination only, against
-            // the fresh doc.
-            doc.clone()
-        });
-        let errs = kfuzz::check(&baseline, &reports);
-        if errs.is_empty() {
-            println!("kfuzz gates (no findings, guided > baseline) vs committed report: OK");
-        } else {
-            for e in &errs {
-                eprintln!("kfuzz regression: {e}");
-            }
-            std::process::exit(1);
-        }
+    GATE.write(&args, &kfuzz::to_json(&reports));
+    if let Some(c) = committed {
+        GATE.finish(&kfuzz::check(&c, &reports));
     } else if total_findings > 0 {
         std::process::exit(1);
     }

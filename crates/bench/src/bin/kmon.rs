@@ -5,80 +5,50 @@
 //! summaries, preemption-latency and memory-gauge summaries, and writes
 //! `BENCH_observability.json`.
 //!
-//! Usage: `kmon [--check] [--out FILE] [--flame FILE]` — scale via
-//! `FLUKE_BENCH_SCALE`. `--check` additionally verifies the quick-scale
-//! preemption-latency maxima against the blessed CI bounds, and — when a
-//! committed report exists at the output path — fails if any config's
-//! kspan end-to-end p99 regressed by more than 10%. `--flame` writes the
-//! per-request-class collapsed flamegraph (one `class;path cycles` line
-//! per frame, all configs concatenated) for `flamegraph.pl`-style tools.
+//! Usage: `kmon [--check] [--out FILE] [--flame FILE]` (see
+//! [`fluke_bench::gate`]) — scale via `FLUKE_BENCH_SCALE`. `--check`
+//! (quick scale only) verifies the preemption-latency maxima against the
+//! blessed CI bounds and fails if any config's kspan end-to-end p99
+//! regressed by more than 10% against the committed report. `--flame`
+//! writes the per-request-class collapsed flamegraph (one
+//! `class;path cycles` line per frame, all configs concatenated) for
+//! `flamegraph.pl`-style tools.
 
+use fluke_bench::gate::{Gate, USAGE_EXIT};
 use fluke_bench::{observability, Scale};
-use fluke_json::Json;
+
+const GATE: Gate = Gate {
+    bin: "kmon",
+    committed: "BENCH_observability.json",
+    flags: &["--flame FILE"],
+};
 
 fn main() {
-    let mut check = false;
-    let mut out = "BENCH_observability.json".to_string();
-    let mut flame: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a file name"),
-            "--flame" => flame = Some(args.next().expect("--flame needs a file name")),
-            other => {
-                eprintln!("usage: kmon [--check] [--out FILE] [--flame FILE] (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = GATE.args();
     let scale = Scale::from_env();
-    if check && scale != Scale::Quick {
+    if args.check && scale != Scale::Quick {
         eprintln!("kmon --check gates quick-scale bounds; set FLUKE_BENCH_SCALE=quick");
-        std::process::exit(2);
+        std::process::exit(USAGE_EXIT);
     }
-    // Read the committed report *before* overwriting it: `--check` diffs
-    // the fresh run against it below.
-    let committed = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|s| Json::parse(&s).ok());
+    let committed = GATE.committed(&args);
     println!("=== kmon: kernel observability dashboard ({scale:?} scale) ===\n");
     let runs = observability::run_sweep(scale);
     print!("{}", observability::render_dashboard(&runs));
     let doc = observability::to_json(scale, &runs);
-    std::fs::write(&out, format!("{doc}\n")).expect("write observability report");
-    println!("wrote {out}");
-    if let Some(f) = flame {
+    GATE.write(&args, &doc);
+    if let Some(f) = args.value("--flame") {
         let mut lines = Vec::new();
         for o in &runs {
             for line in observability::collapsed_spans(&o.kernel) {
                 lines.push(format!("{};{line}", o.label().replace(' ', "_")));
             }
         }
-        std::fs::write(&f, lines.join("\n") + "\n").expect("write flamegraph");
+        std::fs::write(f, lines.join("\n") + "\n").expect("write flamegraph");
         println!("wrote {f} ({} frames)", lines.len());
     }
-    if check {
-        let mut failed = false;
-        match observability::check_regression(&runs) {
-            Ok(()) => println!("preemption-latency bounds: OK"),
-            Err(e) => {
-                eprintln!("preemption-latency regression:\n{e}");
-                failed = true;
-            }
-        }
-        match committed {
-            None => println!("kspan e2e p99: no committed report to diff against"),
-            Some(c) => match observability::check_e2e_regression(&c, &doc) {
-                Ok(()) => println!("kspan e2e p99 vs committed report: OK"),
-                Err(e) => {
-                    eprintln!("kspan e2e p99 regression:\n{e}");
-                    failed = true;
-                }
-            },
-        }
-        if failed {
-            std::process::exit(1);
-        }
+    if let Some(c) = committed {
+        let mut errs = observability::check_regression(&runs);
+        errs.extend(observability::check_e2e_regression(&c, &doc));
+        GATE.finish(&errs);
     }
 }

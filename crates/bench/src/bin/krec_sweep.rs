@@ -3,33 +3,27 @@
 //! recording perturbation and bit-identical replay everywhere, and write
 //! `BENCH_snapshot.json`.
 //!
-//! Usage: `krec_sweep [--check] [--out FILE]`.
+//! Usage: `krec_sweep [--check] [--out FILE]` (see [`fluke_bench::gate`]).
 //!
 //! * `FLUKE_KREC_STRIDE=N` snapshots every Nth dispatch-boundary site
 //!   (default 5; smaller = denser sweep).
 //! * `FLUKE_KREC_WORKLOADS=ipc-echo,checkpoint,submit-ring` filters the
 //!   workload set (default: all three).
-//! * `--check` exits non-zero on any replay divergence and, when a
-//!   committed report exists at the output path, on snapshot-size
-//!   blowups or lost replay coverage against it.
+//! * `--check` exits non-zero on any replay divergence and on
+//!   snapshot-size blowups or lost replay coverage against the committed
+//!   `BENCH_snapshot.json`. Without it, any divergence still exits 1.
 
+use fluke_bench::gate::{Gate, USAGE_EXIT};
 use fluke_bench::krec_sweep::{self, KrecWorkload, ALL_WORKLOADS};
-use fluke_json::Json;
+
+const GATE: Gate = Gate {
+    bin: "krec_sweep",
+    committed: "BENCH_snapshot.json",
+    flags: &[],
+};
 
 fn main() {
-    let mut check = false;
-    let mut out = "BENCH_snapshot.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => check = true,
-            "--out" => out = args.next().expect("--out needs a file name"),
-            other => {
-                eprintln!("usage: krec_sweep [--check] [--out FILE] (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = GATE.args();
     let stride = std::env::var("FLUKE_KREC_STRIDE")
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
@@ -43,18 +37,14 @@ fn main() {
             .map(|w| {
                 KrecWorkload::parse(w).unwrap_or_else(|| {
                     eprintln!("unknown workload {w:?} (want ipc-echo, checkpoint, submit-ring)");
-                    std::process::exit(2);
+                    std::process::exit(USAGE_EXIT);
                 })
             })
             .collect(),
         Err(_) => ALL_WORKLOADS.to_vec(),
     };
 
-    // Read the committed report *before* overwriting it: `--check` diffs
-    // the fresh run against it below.
-    let committed = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|s| Json::parse(&s).ok());
+    let committed = GATE.committed(&args);
 
     println!("=== krec_sweep: snapshot / replay fidelity (stride {stride}) ===\n");
     let reports = match krec_sweep::sweep_all(&workloads, stride) {
@@ -79,24 +69,9 @@ fn main() {
         reports.len()
     );
 
-    let doc = krec_sweep::to_json(&reports);
-    std::fs::write(&out, format!("{doc}\n")).expect("write snapshot report");
-    println!("wrote {out}");
-
-    if check {
-        let baseline = committed.unwrap_or_else(|| {
-            // First run ever: gate divergences only, against the fresh doc.
-            doc.clone()
-        });
-        let errs = krec_sweep::check(&baseline, &reports);
-        if errs.is_empty() {
-            println!("krec replay fidelity vs committed report: OK");
-        } else {
-            for e in &errs {
-                eprintln!("krec regression: {e}");
-            }
-            std::process::exit(1);
-        }
+    GATE.write(&args, &krec_sweep::to_json(&reports));
+    if let Some(c) = committed {
+        GATE.finish(&krec_sweep::check(&c, &reports));
     } else if total_div > 0 {
         std::process::exit(1);
     }

@@ -2,33 +2,31 @@
 //! simulated processors, fine-grained locking vs the legacy big kernel
 //! lock, written to `BENCH_mp_scaling.json`.
 //!
-//! Usage: `mp_scaling [--quick] [--check] [output.json]`
+//! Usage: `mp_scaling [--quick] [--check] [--out FILE]` (see
+//! [`fluke_bench::gate`]).
 //!
 //! * Default: run the sweep at both paper and quick scale and write the
 //!   combined artifact (the committed baseline carries both, so the CI
 //!   quick smoke can gate against a same-scale reference).
 //! * `--quick` restricts the sweep to the quick scale.
-//! * `--check` gates against the *committed* `BENCH_mp_scaling.json`
-//!   instead of writing: fails if the fresh 16-CPU fine-grained ipc-echo
-//!   throughput fell more than 10% below the same-scale baseline, or if
-//!   fine-grained locking no longer beats the big lock on lock-wait
-//!   share.
+//! * `--check` gates against the committed `BENCH_mp_scaling.json`:
+//!   fails if the fresh 16-CPU fine-grained ipc-echo throughput fell more
+//!   than 10% below the same-scale baseline, or if fine-grained locking no
+//!   longer beats the big lock on lock-wait share.
 
+use fluke_bench::gate::{scale_runs, Gate};
 use fluke_bench::{mp_scaling, Scale};
-use fluke_json::Json;
+
+const GATE: Gate = Gate {
+    bin: "mp_scaling",
+    committed: "BENCH_mp_scaling.json",
+    flags: &["--quick"],
+};
 
 fn main() {
-    let mut quick_only = false;
-    let mut check = false;
-    let mut out = "BENCH_mp_scaling.json".to_string();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick_only = true,
-            "--check" => check = true,
-            other => out = other.to_string(),
-        }
-    }
-    let scales: &[Scale] = if quick_only {
+    let args = GATE.args();
+    let committed = GATE.committed(&args);
+    let scales: &[Scale] = if args.has("--quick") {
         &[Scale::Quick]
     } else {
         &[Scale::Paper, Scale::Quick]
@@ -45,34 +43,16 @@ fn main() {
         runs.push((scale, rows));
     }
 
-    if check {
-        let baseline = std::fs::read_to_string("BENCH_mp_scaling.json")
-            .expect("--check needs the committed BENCH_mp_scaling.json");
-        let baseline = Json::parse(&baseline).expect("committed baseline parses");
-        for (scale, rows) in &runs {
-            match mp_scaling::check(&baseline, *scale, rows) {
-                Ok(()) => {
-                    println!("check ({scale:?}): OK (throughput held, lock-wait share dropped)")
-                }
-                Err(e) => {
-                    eprintln!("check ({scale:?}): FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
+    let docs = runs
+        .iter()
+        .map(|(scale, rows)| mp_scaling::to_json(*scale, rows))
+        .collect();
+    GATE.write(&args, &scale_runs("mp_scaling", docs));
+    if let Some(c) = committed {
+        let errs: Vec<String> = runs
+            .iter()
+            .flat_map(|(scale, rows)| mp_scaling::check(&c, *scale, rows))
+            .collect();
+        GATE.finish(&errs);
     }
-
-    let mut doc = Json::obj();
-    doc.set("bench", Json::Str("mp_scaling".to_string()));
-    doc.set(
-        "runs",
-        Json::Arr(
-            runs.iter()
-                .map(|(scale, rows)| mp_scaling::to_json(*scale, rows))
-                .collect(),
-        ),
-    );
-    std::fs::write(&out, format!("{doc}\n")).expect("write benchmark report");
-    println!("wrote {out}");
 }

@@ -3,32 +3,31 @@
 //! plus the `ipc_submit` batching echo tier, written to
 //! `BENCH_server.json`.
 //!
-//! Usage: `server_consolidation [--quick] [--check] [output.json]`
+//! Usage: `server_consolidation [--quick] [--check] [--out FILE]` (see
+//! [`fluke_bench::gate`]).
 //!
 //! * Default: run the sweep at both paper and quick scale and write the
 //!   combined artifact (the committed baseline carries both, so the CI
 //!   quick smoke can gate against a same-scale reference).
 //! * `--quick` restricts the sweep to the quick scale.
-//! * `--check` gates against the *committed* `BENCH_server.json`
-//!   instead of writing: fails on >10% p99 or throughput regression in
-//!   any row, or if batching no longer cuts kernel entries per message
-//!   by at least 4x on the echo tier.
+//! * `--check` gates against the committed `BENCH_server.json`: it fails
+//!   on a p99 or throughput regression of more than 10% in any row, or if
+//!   batching no longer cuts kernel entries per message by at least 4x on
+//!   the echo tier.
 
+use fluke_bench::gate::{scale_runs, Gate};
 use fluke_bench::{server_consolidation, Scale};
-use fluke_json::Json;
+
+const GATE: Gate = Gate {
+    bin: "server_consolidation",
+    committed: "BENCH_server.json",
+    flags: &["--quick"],
+};
 
 fn main() {
-    let mut quick_only = false;
-    let mut check = false;
-    let mut out = "BENCH_server.json".to_string();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick_only = true,
-            "--check" => check = true,
-            other => out = other.to_string(),
-        }
-    }
-    let scales: &[Scale] = if quick_only {
+    let args = GATE.args();
+    let committed = GATE.committed(&args);
+    let scales: &[Scale] = if args.has("--quick") {
         &[Scale::Quick]
     } else {
         &[Scale::Paper, Scale::Quick]
@@ -49,34 +48,16 @@ fn main() {
         runs.push((scale, rows));
     }
 
-    if check {
-        let baseline = std::fs::read_to_string("BENCH_server.json")
-            .expect("--check needs the committed BENCH_server.json");
-        let baseline = Json::parse(&baseline).expect("committed baseline parses");
-        for (scale, rows) in &runs {
-            match server_consolidation::check(&baseline, *scale, rows) {
-                Ok(()) => {
-                    println!("check ({scale:?}): OK (tails and throughput held, ≥4x batching)")
-                }
-                Err(e) => {
-                    eprintln!("check ({scale:?}): FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
+    let docs = runs
+        .iter()
+        .map(|(scale, rows)| server_consolidation::to_json(*scale, rows))
+        .collect();
+    GATE.write(&args, &scale_runs("server_consolidation", docs));
+    if let Some(c) = committed {
+        let errs: Vec<String> = runs
+            .iter()
+            .flat_map(|(scale, rows)| server_consolidation::check(&c, *scale, rows))
+            .collect();
+        GATE.finish(&errs);
     }
-
-    let mut doc = Json::obj();
-    doc.set("bench", Json::Str("server_consolidation".to_string()));
-    doc.set(
-        "runs",
-        Json::Arr(
-            runs.iter()
-                .map(|(scale, rows)| server_consolidation::to_json(*scale, rows))
-                .collect(),
-        ),
-    );
-    std::fs::write(&out, format!("{doc}\n")).expect("write benchmark report");
-    println!("wrote {out}");
 }

@@ -14,8 +14,9 @@
 //! Exits non-zero if the models diverge.
 
 use fluke_bench::trace_export::{chrome_trace, cycle_window, text_summary_window};
-use fluke_bench::tracediff::{diff_user_visible, run_traced_flukeperf};
+use fluke_bench::tracediff::run_traced_flukeperf;
 use fluke_bench::Scale;
+use fluke_core::oracle::diff_user_visible;
 use fluke_core::Config;
 
 fn main() {
@@ -71,12 +72,13 @@ fn main() {
         }
     }
 
-    let div = diff_user_visible(&process, &interrupt);
+    let uv = process.trace.user_visible();
+    let div = diff_user_visible(&uv, &interrupt.trace.user_visible());
     if div.is_empty() {
         println!(
             "\nVERDICT: execution models are user-visibly identical \
              ({} threads compared)",
-            process.trace.user_visible().len()
+            uv.len()
         );
     } else {
         println!("\nVERDICT: models DIVERGED at {} positions:", div.len());

@@ -8,86 +8,37 @@
 //! **golden outcome** and the size of the site space. It then re-runs the
 //! workload once per site (all of them, or an evenly strided sample under
 //! a CI budget), injecting exactly one perturbation, and compares the
-//! user-visible projection, each main thread's final registers, and an
-//! FNV-64 memory digest against the golden run. The *raw* trace tail
-//! after an injection legitimately differs — injections change kernel
-//! timing (extra faults, restarts, context switches); the paper's claim
-//! is that none of it is visible to user programs.
+//! user-visible [`Outcome`] — projection, each main thread's final
+//! registers, and an FNV-64 memory digest — against the golden run. The
+//! *raw* trace tail after an injection legitimately differs — injections
+//! change kernel timing (extra faults, restarts, context switches); the
+//! paper's claim is that none of it is visible to user programs.
 //!
 //! Any divergence is already minimal: a single (workload, config, kind,
 //! site) tuple reproduces it deterministically.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ErrorCode, ObjType, Sys};
-use fluke_arch::{Assembler, Cond, Reg, UserRegs};
+use fluke_arch::{Assembler, Reg, UserRegs};
 use fluke_core::{
-    Config, Kernel, KfaultConfig, KfaultKind, RunExit, RunState, SpaceId, ThreadId, UserVisible,
+    Config, Kernel, KfaultConfig, KfaultKind, Outcome, RunExit, RunState, SpaceId, ThreadId,
     WaitReason,
 };
 use fluke_user::checkpoint::{checkpoint_space, identity_window, restore_space, SyscallAgent};
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
-/// Everything a user program can observe of a finished run (the same
-/// oracle the differential fuzzer uses).
-#[derive(Debug, PartialEq, Eq)]
-pub struct Outcome {
-    /// Per-thread user-visible event sequences (syscall results, marks,
-    /// halts).
-    pub uv: BTreeMap<ThreadId, Vec<UserVisible>>,
-    /// (final `eax`, final `edi`) per main thread.
-    pub regs: Vec<(u32, u32)>,
-    /// FNV-64 digest over the workload's result memory.
-    pub mem: u64,
-}
-
-fn fnv(acc: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *acc ^= b as u64;
-        *acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Checksum `words` 32-bit words at `base` into `edi`.
-fn emit_checksum(a: &mut Assembler, base: u32, words: u32, label: &str) {
-    a.movi(Reg::Ebp, base);
-    a.movi(Reg::Ebx, base + words * 4);
-    a.label(label);
-    a.load(Reg::Edx, Reg::Ebp, 0);
-    a.add(Reg::Edi, Reg::Edx);
-    a.addi(Reg::Ebp, 4);
-    a.cmp(Reg::Ebp, Reg::Ebx);
-    a.jcc(Cond::Ne, label);
-}
-
-/// Project the outcome of a finished run: user-visible trace, main-thread
-/// registers, and a digest over `regions`.
+/// Project a finished sweep workload: the user-visible trace, each main
+/// thread's final `eax`/`edi`, and a digest over `regions` then `extra`.
 pub(crate) fn outcome(
     k: &mut Kernel,
     mains: &[ThreadId],
     regions: &[(SpaceId, u32, u32)],
     extra: &[u8],
 ) -> Result<Outcome, String> {
-    let mut mem = 0xcbf2_9ce4_8422_2325u64;
-    for &(s, base, len) in regions {
-        let bytes = k.try_read_mem(s, base, len).map_err(|e| e.to_string())?;
-        fnv(&mut mem, &bytes);
-    }
-    fnv(&mut mem, extra);
-    Ok(Outcome {
-        uv: k.trace.user_visible(),
-        regs: mains
-            .iter()
-            .map(|&t| {
-                let r = k.thread_regs(t);
-                (r.get(Reg::Eax), r.get(Reg::Edi))
-            })
-            .collect(),
-        mem,
-    })
+    Outcome::capture(k, mains, &[Reg::Eax, Reg::Edi], regions, extra).map_err(|e| e.to_string())
 }
 
 /// Read the armed engine's counters after a run.
@@ -223,7 +174,7 @@ fn run_echo(
         a.movi(ARG_VAL, LEN);
         a.sys(Sys::IpcClientSendOverReceive);
     }
-    emit_checksum(&mut a, crbuf, LEN / 4, "ck-echo");
+    a.checksum(crbuf, LEN / 4, "ck-echo");
     a.mov(ARG_VAL, Reg::Edi);
     a.sys(Sys::SysTrace);
     a.halt();
@@ -420,40 +371,6 @@ impl SweepReport {
     }
 }
 
-/// Describe the first component in which `got` differs from `want`.
-pub(crate) fn diff_outcomes(want: &Outcome, got: &Outcome) -> String {
-    if want.mem != got.mem {
-        return format!(
-            "memory digest {:#018x} != golden {:#018x}",
-            got.mem, want.mem
-        );
-    }
-    if want.regs != got.regs {
-        return format!("final registers {:x?} != golden {:x?}", got.regs, want.regs);
-    }
-    if want.uv != got.uv {
-        for (t, w) in &want.uv {
-            match got.uv.get(t) {
-                None => return format!("thread {} missing from user-visible trace", t.0),
-                Some(g) if g != w => {
-                    let i = w.iter().zip(g.iter()).position(|(a, b)| a != b);
-                    return format!(
-                        "thread {} user-visible events diverge at index {:?} \
-                         (golden len {}, got len {})",
-                        t.0,
-                        i,
-                        w.len(),
-                        g.len()
-                    );
-                }
-                _ => {}
-            }
-        }
-        return "extra threads in user-visible trace".to_string();
-    }
-    "outcomes equal (spurious diff)".to_string()
-}
-
 /// Sweep one (workload, config, kind): enumerate the site space, perturb
 /// each chosen site, and compare every outcome to the golden run.
 /// `budget` bounds the number of perturbed runs; the chosen sites are
@@ -476,11 +393,8 @@ pub fn sweep(
     if zero != 0 {
         return Err("disarmed engine counted sites".to_string());
     }
-    if bare != golden {
-        return Err(format!(
-            "count-only arming perturbed the outcome: {}",
-            diff_outcomes(&bare, &golden)
-        ));
+    if let Some(d) = bare.first_difference(&golden) {
+        return Err(format!("count-only arming perturbed the outcome: {d}"));
     }
     let sites_run = budget.map_or(total, |b| total.min(b));
     let mut divergences = Vec::new();
@@ -493,11 +407,8 @@ pub fn sweep(
                 if f {
                     injections_fired += 1;
                 }
-                if got != golden {
-                    divergences.push(Divergence {
-                        site,
-                        detail: diff_outcomes(&golden, &got),
-                    });
+                if let Some(detail) = golden.first_difference(&got) {
+                    divergences.push(Divergence { site, detail });
                 }
             }
             Ok(Err(e)) => divergences.push(Divergence { site, detail: e }),
@@ -518,17 +429,6 @@ pub fn sweep(
     })
 }
 
-/// The four comparable model × preemption configurations the sweep runs
-/// under (Full preemption has no cross-model partner).
-pub fn sweep_configs() -> [Config; 4] {
-    [
-        Config::process_np(),
-        Config::interrupt_np(),
-        Config::process_pp(),
-        Config::interrupt_pp(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +438,7 @@ mod tests {
     /// bin (and CI's kfault-smoke step).
     #[test]
     fn echo_sweep_bounded_all_kinds_and_configs() {
-        for cfg in sweep_configs() {
+        for cfg in Config::comparable() {
             for kind in KfaultKind::ALL {
                 let r = sweep(SweepWorkload::IpcEcho, &cfg, kind, Some(6))
                     .unwrap_or_else(|e| panic!("{} {}: {e}", cfg.label, kind.name()));

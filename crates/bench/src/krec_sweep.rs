@@ -27,12 +27,12 @@ use std::time::Instant;
 use fluke_api::abi::{ARG_COUNT, ARG_SBUF, ARG_VAL, PORT_BUF_MSGS, SUBMIT_OP_RECV};
 use fluke_api::{ObjType, Sys};
 use fluke_arch::{Assembler, Cond, Reg};
-use fluke_core::{trace_suffix_digest, Config, Kernel, KrecConfig, Replayer};
+use fluke_core::{trace_suffix_digest, Config, Kernel, KrecConfig, Outcome, Replayer};
 use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
-use crate::kfault_sweep::{diff_outcomes, outcome, sweep_configs, Outcome, SweepWorkload};
+use crate::kfault_sweep::{outcome, SweepWorkload};
 
 /// The workloads the snapshot sweep records and replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,11 +275,8 @@ pub fn sweep(w: KrecWorkload, cfg: &Config, stride: u64) -> Result<KrecReport, S
         .clone()
         .with_krec(KrecConfig::every_sites(stride).with_ring(4096));
     let (armed_out, mut k) = w.run(&armed_cfg)?;
-    if armed_out != bare_out {
-        return Err(format!(
-            "arming krec perturbed the outcome: {}",
-            diff_outcomes(&bare_out, &armed_out)
-        ));
+    if let Some(d) = bare_out.first_difference(&armed_out) {
+        return Err(format!("arming krec perturbed the outcome: {d}"));
     }
     let armed_digest = k.state_digest().map_err(|e| e.to_string())?;
     if armed_digest != bare_digest {
@@ -394,7 +391,7 @@ pub fn sweep(w: KrecWorkload, cfg: &Config, stride: u64) -> Result<KrecReport, S
 pub fn sweep_all(workloads: &[KrecWorkload], stride: u64) -> Result<Vec<KrecReport>, String> {
     let mut out = Vec::new();
     for &w in workloads {
-        for cfg in sweep_configs() {
+        for cfg in Config::comparable() {
             out.push(sweep(w, &cfg, stride)?);
         }
     }

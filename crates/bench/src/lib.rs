@@ -7,6 +7,7 @@
 //! factor, where the orders of magnitude fall) without parsing text.
 
 pub mod ablation;
+pub mod gate;
 pub mod kfault_sweep;
 pub mod kfuzz;
 pub mod krec_sweep;
@@ -25,6 +26,8 @@ pub mod tracediff;
 
 pub use report::TextTable;
 
+use fluke_workloads::FlukeperfParams;
+
 /// Scale selector for the measurement tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -41,6 +44,22 @@ impl Scale {
         match std::env::var("FLUKE_BENCH_SCALE").as_deref() {
             Ok("quick") => Scale::Quick,
             _ => Scale::Paper,
+        }
+    }
+
+    /// Stable report label: `paper` or `quick`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Paper => "paper",
+            Scale::Quick => "quick",
+        }
+    }
+
+    /// The flukeperf parameters of this scale.
+    pub fn flukeperf(self) -> FlukeperfParams {
+        match self {
+            Scale::Paper => FlukeperfParams::paper(),
+            Scale::Quick => FlukeperfParams::quick(),
         }
     }
 }

@@ -210,16 +210,7 @@ pub fn table(rows: &[MemfastRow]) -> TextTable {
 pub fn to_json(scale: Scale, rows: &[MemfastRow]) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("memfast".to_string()));
-    doc.set(
-        "scale",
-        Json::Str(
-            match scale {
-                Scale::Paper => "paper",
-                Scale::Quick => "quick",
-            }
-            .to_string(),
-        ),
-    );
+    doc.set("scale", Json::Str(scale.label().to_string()));
     let items = rows
         .iter()
         .map(|r| {

@@ -22,8 +22,9 @@ use fluke_core::{Config, Kernel};
 use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
-use fluke_workloads::{flukeperf, FlukeperfParams};
+use fluke_workloads::flukeperf;
 
+use crate::gate::scale_run;
 use crate::tracediff::run_keep_kernel;
 use crate::{Scale, TextTable};
 
@@ -178,10 +179,7 @@ fn models() -> [Config; 2] {
 /// every CPU point.
 pub fn run_mp_scaling(scale: Scale) -> Vec<MpRow> {
     let ex = exchanges(scale);
-    let fp_params = match scale {
-        Scale::Paper => FlukeperfParams::paper(),
-        Scale::Quick => FlukeperfParams::quick(),
-    };
+    let fp_params = scale.flukeperf();
     let mut rows = Vec::new();
     for base in models() {
         let model = base.label;
@@ -250,16 +248,7 @@ pub fn table(rows: &[MpRow]) -> TextTable {
 pub fn to_json(scale: Scale, rows: &[MpRow]) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("mp_scaling".to_string()));
-    doc.set(
-        "scale",
-        Json::Str(
-            match scale {
-                Scale::Paper => "paper",
-                Scale::Quick => "quick",
-            }
-            .to_string(),
-        ),
-    );
+    doc.set("scale", Json::Str(scale.label().to_string()));
     let items = rows
         .iter()
         .map(|r| {
@@ -290,76 +279,61 @@ pub fn to_json(scale: Scale, rows: &[MpRow]) -> Json {
 /// ipc-echo throughput (process model) fell more than 10% below the
 /// committed baseline *at the same scale*, or if fine-grained locking no
 /// longer reduces the lock-wait share below the big lock's at 16 CPUs.
-pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Result<(), String> {
-    let want = match scale {
-        Scale::Paper => "paper",
-        Scale::Quick => "quick",
-    };
-    // The committed artifact carries one run per scale; a bare run doc
-    // (no "runs" array) is accepted if its scale matches.
-    let baseline = match baseline.get("runs").and_then(|r| r.items()) {
-        Some(runs) => runs
-            .iter()
-            .find(|r| r.get("scale").and_then(|s| s.as_str()) == Some(want))
-            .ok_or_else(|| format!("baseline has no {want}-scale run"))?,
-        None if baseline.get("scale").and_then(|s| s.as_str()) == Some(want) => baseline,
-        None => return Err(format!("baseline is not a {want}-scale run")),
-    };
-    check_run(baseline, fresh)
-}
-
-fn check_run(baseline: &Json, fresh: &[MpRow]) -> Result<(), String> {
+pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
     let gate_model = Config::process_pp().label;
-    let find = |lock: &str| {
+    // The gated rows: ipc-echo, process PP, 16 CPUs, lock `want`.
+    let is_gate = |workload: &str, model: &str, lock: &str, cpus: u64, want: &str| {
+        workload == "ipc-echo" && model == gate_model && lock == want && cpus == 16
+    };
+    let find = |want: &str| {
         fresh
             .iter()
-            .find(|r| {
-                r.workload == "ipc-echo" && r.model == gate_model && r.lock == lock && r.cpus == 16
-            })
-            .ok_or_else(|| format!("fresh sweep missing ipc-echo/{gate_model}/{lock}/16"))
+            .find(|r| is_gate(r.workload, r.model, r.lock, r.cpus as u64, want))
     };
-    let fine = find("fine")?;
-    let big = find("big-lock")?;
-
-    let rows = baseline
-        .get("rows")
-        .and_then(|r| r.items())
-        .ok_or("baseline JSON has no rows")?;
-    let base = rows
-        .iter()
-        .find(|r| {
-            r.get("workload").and_then(|v| v.as_str()) == Some("ipc-echo")
-                && r.get("model").and_then(|v| v.as_str()) == Some(gate_model)
-                && r.get("lock").and_then(|v| v.as_str()) == Some("fine")
-                && r.get("cpus").and_then(|v| v.as_u64()) == Some(16)
-        })
-        .ok_or("baseline missing the 16-CPU fine ipc-echo row")?;
-    let base_tp = base
-        .get("ops_per_mcycle")
-        .and_then(|v| v.as_f64())
-        .ok_or("baseline row has no ops_per_mcycle")?;
-
-    if fine.throughput() < 0.9 * base_tp {
-        return Err(format!(
-            "16-CPU fine ipc-echo throughput regressed: {:.1} ops/Mcycle vs baseline {:.1}",
-            fine.throughput(),
-            base_tp
-        ));
+    let (Some(fine), Some(big)) = (find("fine"), find("big-lock")) else {
+        return vec![format!(
+            "fresh sweep missing the ipc-echo/{gate_model}/16 rows"
+        )];
+    };
+    let mut errs = Vec::new();
+    let base_tp = scale_run(baseline, scale).and_then(|run| {
+        run.get("rows")
+            .and_then(Json::items)
+            .ok_or("baseline JSON has no rows")?
+            .iter()
+            .find(|r| {
+                let s = |k| r.get(k).and_then(Json::as_str).unwrap_or("");
+                let cpus = r.get("cpus").and_then(Json::as_u64).unwrap_or(0);
+                is_gate(s("workload"), s("model"), s("lock"), cpus, "fine")
+            })
+            .ok_or("baseline missing the 16-CPU fine ipc-echo row")?
+            .get("ops_per_mcycle")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| "baseline row has no ops_per_mcycle".to_string())
+    });
+    match base_tp {
+        Err(e) => errs.push(e),
+        Ok(tp) if fine.throughput() < 0.9 * tp => errs.push(format!(
+            "16-CPU fine ipc-echo throughput regressed: {:.1} ops/Mcycle vs baseline {tp:.1}",
+            fine.throughput()
+        )),
+        Ok(_) => {}
     }
     if fine.lock_wait_share() >= big.lock_wait_share() {
-        return Err(format!(
+        errs.push(format!(
             "fine-grained locking no longer beats the big lock on wait share at 16 CPUs: \
              fine {:.2}% vs big {:.2}%",
             100.0 * fine.lock_wait_share(),
             100.0 * big.lock_wait_share()
         ));
     }
-    Ok(())
+    errs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::scale_runs;
 
     /// The headline mechanism in miniature: at 4 CPUs the fine-grained
     /// kernel must beat the big lock on echo throughput and carry a far
@@ -406,31 +380,29 @@ mod tests {
         ];
         let doc = to_json(Scale::Quick, &rows);
         let parsed = Json::parse(&doc.to_string()).expect("emitted JSON parses");
-        check(&parsed, Scale::Quick, &rows).expect("fresh run identical to baseline must pass");
+        assert_eq!(check(&parsed, Scale::Quick, &rows), Vec::<String>::new());
 
         // The gate refuses to compare across scales.
-        assert!(check(&parsed, Scale::Paper, &rows).is_err());
+        assert!(!check(&parsed, Scale::Paper, &rows).is_empty());
 
         // A 2x throughput regression must trip the gate.
         let slow = vec![
             mk("fine", 2_000_000, 10_000),
             mk("big-lock", 2_000_000, 900_000),
         ];
-        assert!(check(&parsed, Scale::Quick, &slow).is_err());
+        assert!(!check(&parsed, Scale::Quick, &slow).is_empty());
 
         // Fine losing the wait-share comparison must trip the gate.
         let contended = vec![
             mk("fine", 1_000_000, 900_000),
             mk("big-lock", 2_000_000, 900_000),
         ];
-        assert!(check(&parsed, Scale::Quick, &contended).is_err());
+        assert!(!check(&parsed, Scale::Quick, &contended).is_empty());
 
         // The combined multi-run artifact shape resolves by scale.
-        let mut combined = Json::obj();
-        combined.set("bench", Json::Str("mp_scaling".to_string()));
-        combined.set("runs", Json::Arr(vec![to_json(Scale::Quick, &rows)]));
+        let combined = scale_runs("mp_scaling", vec![to_json(Scale::Quick, &rows)]);
         let combined = Json::parse(&combined.to_string()).unwrap();
-        check(&combined, Scale::Quick, &rows).expect("combined artifact must resolve");
-        assert!(check(&combined, Scale::Paper, &rows).is_err());
+        assert!(check(&combined, Scale::Quick, &rows).is_empty());
+        assert!(!check(&combined, Scale::Paper, &rows).is_empty());
     }
 }

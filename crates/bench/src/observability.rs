@@ -14,8 +14,8 @@ use fluke_arch::cost::Cycles;
 use fluke_core::{Config, Kernel};
 use fluke_json::Json;
 use fluke_workloads::common::WorkloadRun;
+use fluke_workloads::flukeperf;
 use fluke_workloads::latency::install_probe;
-use fluke_workloads::{flukeperf, FlukeperfParams};
 
 use crate::Scale;
 
@@ -87,11 +87,7 @@ fn sample(k: &Kernel) -> MemSample {
 ///
 /// Panics if the workload fails to finish within the safety budget.
 pub fn run_observed(cfg: Config, scale: Scale) -> Observed {
-    let params = match scale {
-        Scale::Paper => FlukeperfParams::paper(),
-        Scale::Quick => FlukeperfParams::quick(),
-    };
-    let mut run: WorkloadRun = flukeperf::build(cfg.with_kprof().with_kspan(), &params);
+    let mut run: WorkloadRun = flukeperf::build(cfg.with_kprof().with_kspan(), &scale.flukeperf());
     install_probe(&mut run.kernel, PROBE_PERIOD_MS);
     let start = run.kernel.now();
     let deadline = start + RUN_BUDGET;
@@ -271,10 +267,7 @@ fn hist_json(h: &fluke_core::Histogram) -> Json {
 /// Build the `BENCH_observability.json` document.
 pub fn to_json(scale: Scale, runs: &[Observed]) -> Json {
     let mut doc = Json::obj();
-    doc.set(
-        "scale",
-        Json::Str(format!("{scale:?}").to_ascii_lowercase()),
-    );
+    doc.set("scale", Json::Str(scale.label().to_string()));
     let mut configs = Vec::new();
     for o in runs {
         let k = &o.kernel;
@@ -403,7 +396,7 @@ pub const QUICK_LATENCY_MAX_BOUNDS: &[(&str, u64)] = &[
 
 /// Check quick-scale preemption-latency maxima against the blessed
 /// bounds. Returns one message per violation.
-pub fn check_regression(runs: &[Observed]) -> Result<(), String> {
+pub fn check_regression(runs: &[Observed]) -> Vec<String> {
     let mut errors = Vec::new();
     for (label, bound) in QUICK_LATENCY_MAX_BOUNDS {
         match runs.iter().find(|o| o.label() == *label) {
@@ -422,11 +415,7 @@ pub fn check_regression(runs: &[Observed]) -> Result<(), String> {
             }
         }
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors.join("\n"))
-    }
+    errors
 }
 
 /// Maximum tolerated relative growth of the kspan end-to-end p99 between
@@ -458,10 +447,10 @@ fn e2e_p99s(doc: &Json) -> std::collections::BTreeMap<String, u64> {
 /// Compare a freshly generated report against the committed one: any
 /// configuration whose kspan end-to-end p99 grew by more than
 /// [`E2E_P99_TOLERANCE`] is a regression. Same-scale reports only.
-pub fn check_e2e_regression(committed: &Json, fresh: &Json) -> Result<(), String> {
+pub fn check_e2e_regression(committed: &Json, fresh: &Json) -> Vec<String> {
     if committed.get("scale") != fresh.get("scale") {
         // A scale change makes latencies incomparable; nothing to gate.
-        return Ok(());
+        return Vec::new();
     }
     let want = e2e_p99s(committed);
     let got = e2e_p99s(fresh);
@@ -480,11 +469,7 @@ pub fn check_e2e_regression(committed: &Json, fresh: &Json) -> Result<(), String
             }
         }
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors.join("\n"))
-    }
+    errors
 }
 
 #[cfg(test)]
@@ -582,8 +567,11 @@ mod tests {
             .into_iter()
             .map(|c| run_observed(c, Scale::Quick))
             .collect();
-        if let Err(e) = check_regression(&runs) {
-            panic!("blessed preemption-latency bounds regressed:\n{e}");
-        }
+        let errs = check_regression(&runs);
+        assert!(
+            errs.is_empty(),
+            "blessed preemption-latency bounds regressed:\n{}",
+            errs.join("\n")
+        );
     }
 }

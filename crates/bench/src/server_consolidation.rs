@@ -43,6 +43,7 @@ use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
+use crate::gate::scale_run;
 use crate::{Scale, TextTable};
 
 /// Request/response payload bytes.
@@ -552,16 +553,7 @@ pub fn echo_entry_reduction(rows: &[ServerRow]) -> f64 {
 pub fn to_json(scale: Scale, rows: &[ServerRow]) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("server_consolidation".to_string()));
-    doc.set(
-        "scale",
-        Json::Str(
-            match scale {
-                Scale::Paper => "paper",
-                Scale::Quick => "quick",
-            }
-            .to_string(),
-        ),
-    );
+    doc.set("scale", Json::Str(scale.label().to_string()));
     let items = rows
         .iter()
         .map(|r| {
@@ -613,73 +605,58 @@ pub fn to_json(scale: Scale, rows: &[ServerRow]) -> Json {
 /// above the baseline or a throughput more than 10% below it fails. The
 /// echo-tier entry reduction must also hold at ≥4x in the fresh run,
 /// independent of the baseline.
-pub fn check(baseline: &Json, scale: Scale, fresh: &[ServerRow]) -> Result<(), String> {
-    let want = match scale {
-        Scale::Paper => "paper",
-        Scale::Quick => "quick",
-    };
-    let baseline = match baseline.get("runs").and_then(|r| r.items()) {
-        Some(runs) => runs
-            .iter()
-            .find(|r| r.get("scale").and_then(|s| s.as_str()) == Some(want))
-            .ok_or_else(|| format!("baseline has no {want}-scale run"))?,
-        None if baseline.get("scale").and_then(|s| s.as_str()) == Some(want) => baseline,
-        None => return Err(format!("baseline is not a {want}-scale run")),
-    };
-    let rows = baseline
-        .get("rows")
-        .and_then(|r| r.items())
-        .ok_or("baseline JSON has no rows")?;
-
-    for f in fresh {
-        let base = rows
-            .iter()
-            .find(|r| {
-                r.get("tier").and_then(|v| v.as_str()) == Some(f.tier)
-                    && r.get("conns").and_then(|v| v.as_u64()) == Some(f.conns as u64)
-                    && r.get("workers").and_then(|v| v.as_u64()) == Some(f.workers as u64)
-            })
-            .ok_or_else(|| {
-                format!(
-                    "baseline missing row {}/{}c/{}w",
-                    f.tier, f.conns, f.workers
-                )
-            })?;
-        let base_p99 = base.get("p99").and_then(|v| v.as_u64()).unwrap_or(0);
-        if base_p99 > 0 && f.p99 as f64 > 1.1 * base_p99 as f64 {
-            return Err(format!(
-                "{}/{}c/{}w: p99 regressed >10%: {} cycles vs baseline {}",
-                f.tier, f.conns, f.workers, f.p99, base_p99
-            ));
-        }
-        let base_tp = base
-            .get("msgs_per_sec")
-            .and_then(|v| v.as_f64())
-            .ok_or("baseline row has no msgs_per_sec")?;
-        if f.msgs_per_sec() < 0.9 * base_tp {
-            return Err(format!(
-                "{}/{}c/{}w: throughput regressed >10%: {:.0} msgs/sec vs baseline {:.0}",
-                f.tier,
-                f.conns,
-                f.workers,
-                f.msgs_per_sec(),
-                base_tp
-            ));
+pub fn check(baseline: &Json, scale: Scale, fresh: &[ServerRow]) -> Vec<String> {
+    let mut errs = Vec::new();
+    let rows = scale_run(baseline, scale).and_then(|run| {
+        run.get("rows")
+            .and_then(Json::items)
+            .ok_or_else(|| "baseline JSON has no rows".to_string())
+    });
+    match rows {
+        Err(e) => errs.push(e),
+        Ok(rows) => {
+            for f in fresh {
+                let name = format!("{}/{}c/{}w", f.tier, f.conns, f.workers);
+                let Some(base) = rows.iter().find(|r| {
+                    r.get("tier").and_then(Json::as_str) == Some(f.tier)
+                        && r.get("conns").and_then(Json::as_u64) == Some(f.conns as u64)
+                        && r.get("workers").and_then(Json::as_u64) == Some(f.workers as u64)
+                }) else {
+                    errs.push(format!("baseline missing row {name}"));
+                    continue;
+                };
+                let base_p99 = base.get("p99").and_then(Json::as_u64).unwrap_or(0);
+                if base_p99 > 0 && f.p99 as f64 > 1.1 * base_p99 as f64 {
+                    errs.push(format!(
+                        "{name}: p99 regressed >10%: {} cycles vs baseline {base_p99}",
+                        f.p99
+                    ));
+                }
+                match base.get("msgs_per_sec").and_then(Json::as_f64) {
+                    None => errs.push(format!("baseline row {name} has no msgs_per_sec")),
+                    Some(tp) if f.msgs_per_sec() < 0.9 * tp => errs.push(format!(
+                        "{name}: throughput regressed >10%: {:.0} msgs/sec vs baseline {tp:.0}",
+                        f.msgs_per_sec()
+                    )),
+                    Some(_) => {}
+                }
+            }
         }
     }
 
     let reduction = echo_entry_reduction(fresh);
     if reduction.is_nan() || reduction < 4.0 {
-        return Err(format!(
+        errs.push(format!(
             "echo-tier kernel-entry reduction fell below 4x: {reduction:.2}"
         ));
     }
-    Ok(())
+    errs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::scale_runs;
 
     /// The batching headline in miniature: descriptor rings must cut
     /// kernel entries per message by at least 4x against plain one-way
@@ -762,32 +739,30 @@ mod tests {
         ];
         let doc = to_json(Scale::Quick, &rows);
         let parsed = Json::parse(&doc.to_string()).expect("emitted JSON parses");
-        check(&parsed, Scale::Quick, &rows).expect("identical fresh run must pass");
+        assert_eq!(check(&parsed, Scale::Quick, &rows), Vec::<String>::new());
 
         // The gate refuses to compare across scales.
-        assert!(check(&parsed, Scale::Paper, &rows).is_err());
+        assert!(!check(&parsed, Scale::Paper, &rows).is_empty());
 
         // >10% p99 growth trips the gate.
         let mut slow = rows.clone();
         slow[2].p99 = 7000;
-        assert!(check(&parsed, Scale::Quick, &slow).is_err());
+        assert!(!check(&parsed, Scale::Quick, &slow).is_empty());
 
         // >10% throughput loss trips the gate.
         let mut starved = rows.clone();
         starved[2].elapsed = 6_000_000;
-        assert!(check(&parsed, Scale::Quick, &starved).is_err());
+        assert!(!check(&parsed, Scale::Quick, &starved).is_empty());
 
         // Losing the 4x echo entry reduction trips the gate.
         let mut unbatched = rows.clone();
         unbatched[1].syscalls = 1500;
-        assert!(check(&parsed, Scale::Quick, &unbatched).is_err());
+        assert!(!check(&parsed, Scale::Quick, &unbatched).is_empty());
 
         // The combined multi-run artifact shape resolves by scale.
-        let mut combined = Json::obj();
-        combined.set("bench", Json::Str("server_consolidation".to_string()));
-        combined.set("runs", Json::Arr(vec![to_json(Scale::Quick, &rows)]));
+        let combined = scale_runs("server_consolidation", vec![to_json(Scale::Quick, &rows)]);
         let combined = Json::parse(&combined.to_string()).unwrap();
-        check(&combined, Scale::Quick, &rows).expect("combined artifact must resolve");
-        assert!(check(&combined, Scale::Paper, &rows).is_err());
+        assert!(check(&combined, Scale::Quick, &rows).is_empty());
+        assert!(!check(&combined, Scale::Paper, &rows).is_empty());
     }
 }

@@ -10,12 +10,14 @@
 //! and with it restarts, context switches and rollbacks. What must not
 //! differ is what each thread could itself observe — the ordered result
 //! codes of its completed system calls, its `sys_trace` marks, and its
-//! halt ([`fluke_core::Tracer::user_visible`]).
+//! halt ([`fluke_core::Tracer::user_visible`]), compared with
+//! [`fluke_core::oracle::diff_user_visible`].
 
 use fluke_api::SysClass;
-use fluke_core::{Config, Histogram, Kernel, RunExit, TraceEvent, UserVisible};
-use fluke_workloads::common::WorkloadRun;
-use fluke_workloads::{flukeperf, FlukeperfParams};
+use fluke_core::krec::{fnv64, FNV_OFFSET};
+use fluke_core::{Config, Histogram, Kernel, TraceEvent};
+use fluke_workloads::common::{try_finish, WorkloadRun};
+use fluke_workloads::flukeperf;
 
 use crate::Scale;
 
@@ -30,36 +32,26 @@ pub const DIFF_RING_CAPACITY: usize = 1 << 20;
 ///
 /// Panics if the workload fails to finish within `budget` cycles.
 pub fn run_keep_kernel(mut w: WorkloadRun, budget: u64) -> Kernel {
-    let start = w.kernel.now();
-    let deadline = start + budget;
-    const SLICE: u64 = 50_000;
-    loop {
-        let exit = w.kernel.run(Some((w.kernel.now() + SLICE).min(deadline)));
-        if w.main_threads.iter().all(|&t| w.kernel.thread_halted(t)) {
-            break;
-        }
-        match exit {
-            RunExit::TimeLimit if w.kernel.now() >= deadline => {
-                panic!("workload {} did not finish within {budget} cycles", w.label)
-            }
-            RunExit::TimeLimit => {}
-            RunExit::AllHalted | RunExit::Deadlock => {
-                panic!("workload {} wedged (exit {exit:?})", w.label)
-            }
-        }
-    }
+    try_finish(&mut w, budget).unwrap_or_else(|e| panic!("{e}"));
     w.kernel
 }
 
 /// Build and run flukeperf under `cfg` with tracing on; return the
 /// kernel with its full trace.
+///
+/// # Panics
+///
+/// Panics if the trace ring dropped events: a trace with holes has no
+/// faithful user-visible projection or digest.
 pub fn run_traced_flukeperf(cfg: Config, scale: Scale) -> Kernel {
-    let params = match scale {
-        Scale::Paper => FlukeperfParams::paper(),
-        Scale::Quick => FlukeperfParams::quick(),
-    };
-    let run = flukeperf::build(cfg.with_tracing(DIFF_RING_CAPACITY), &params);
-    run_keep_kernel(run, 8_000_000_000)
+    let run = flukeperf::build(cfg.with_tracing(DIFF_RING_CAPACITY), &scale.flukeperf());
+    let k = run_keep_kernel(run, 8_000_000_000);
+    assert_eq!(
+        k.trace.dropped_total(),
+        0,
+        "trace overflowed; grow the ring"
+    );
+    k
 }
 
 /// A canonical digest of a kernel's *raw* merged trace: FNV-1a over one
@@ -75,15 +67,7 @@ pub fn run_traced_flukeperf(cfg: Config, scale: Scale) -> Kernel {
 /// *adding* a field to an event (e.g. a derived annotation) does not
 /// silently invalidate blessed digests.
 pub fn trace_digest(k: &Kernel) -> (u64, u64) {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
     let merged = k.trace.merged();
     for rec in &merged {
         let tid = rec
@@ -113,7 +97,7 @@ pub fn trace_digest(k: &Kernel) -> (u64, u64) {
             | TraceEvent::Wake { .. }
             | TraceEvent::Halt { .. } => String::new(),
         };
-        mix(&format!(
+        let line = format!(
             "{} {} {} {} {} {}\n",
             rec.at,
             rec.cpu,
@@ -121,7 +105,8 @@ pub fn trace_digest(k: &Kernel) -> (u64, u64) {
             rec.event.name(),
             tid,
             payload
-        ));
+        );
+        h = fnv64(h, line.as_bytes());
     }
     (h, merged.len() as u64)
 }
@@ -204,61 +189,10 @@ pub fn syscall_latency_by_class(k: &Kernel) -> ClassLatency {
     out
 }
 
-/// One user-visible divergence between two traces.
-#[derive(Debug, Clone)]
-pub struct Divergence {
-    /// The thread (arena id, identical across runs of the same builder).
-    pub thread: u32,
-    /// Index into that thread's user-visible sequence.
-    pub index: usize,
-    /// What the first run saw at that position.
-    pub left: Option<UserVisible>,
-    /// What the second run saw.
-    pub right: Option<UserVisible>,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "thread {} event {}: {:?} vs {:?}",
-            self.thread, self.index, self.left, self.right
-        )
-    }
-}
-
-/// Diff two kernels' user-visible projections. Empty result means the
-/// runs were user-visibly identical.
-pub fn diff_user_visible(a: &Kernel, b: &Kernel) -> Vec<Divergence> {
-    assert_eq!(a.trace.dropped_total(), 0, "left trace overflowed");
-    assert_eq!(b.trace.dropped_total(), 0, "right trace overflowed");
-    let ua = a.trace.user_visible();
-    let ub = b.trace.user_visible();
-    let mut out = Vec::new();
-    let threads: std::collections::BTreeSet<_> = ua.keys().chain(ub.keys()).copied().collect();
-    let empty = Vec::new();
-    for t in threads {
-        let left = ua.get(&t).unwrap_or(&empty);
-        let right = ub.get(&t).unwrap_or(&empty);
-        for i in 0..left.len().max(right.len()) {
-            let l = left.get(i).copied();
-            let r = right.get(i).copied();
-            if l != r {
-                out.push(Divergence {
-                    thread: t.0,
-                    index: i,
-                    left: l,
-                    right: r,
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluke_core::oracle::diff_user_visible;
 
     #[test]
     fn process_and_interrupt_models_are_user_visibly_identical() {
@@ -273,7 +207,7 @@ mod tests {
             "expected different internal event streams across models"
         );
         // …while the user-visible projections are identical.
-        let div = diff_user_visible(&a, &b);
+        let div = diff_user_visible(&a.trace.user_visible(), &b.trace.user_visible());
         assert!(
             div.is_empty(),
             "models diverged: {}",
@@ -324,7 +258,7 @@ mod tests {
     fn preemption_styles_are_user_visibly_identical() {
         let a = run_traced_flukeperf(Config::process_np(), Scale::Quick);
         let b = run_traced_flukeperf(Config::process_pp(), Scale::Quick);
-        let div = diff_user_visible(&a, &b);
+        let div = diff_user_visible(&a.trace.user_visible(), &b.trace.user_visible());
         assert!(div.is_empty(), "{} divergences", div.len());
     }
 }

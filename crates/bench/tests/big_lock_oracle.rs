@@ -4,14 +4,15 @@
 //! traffic, never what a program computes — so the user-visible outcome
 //! and every timing-robust counter must match bit for bit.
 
-use fluke_bench::kfault_sweep::{sweep_configs, SweepWorkload};
+use fluke_bench::kfault_sweep::SweepWorkload;
 use fluke_bench::tracediff::{run_traced_flukeperf, trace_digest};
 use fluke_bench::Scale;
+use fluke_core::Config;
 
 /// Run a workload on 4 CPUs under both lock models and compare everything
 /// that must not depend on lock-cost accounting.
 fn oracle(workload: SweepWorkload, label: &str) {
-    for base in sweep_configs() {
+    for base in Config::comparable() {
         let name = format!("{label}/{}", base.label);
         let fine = workload
             .run_kernel(&base.clone().with_cpus(4), None)

@@ -50,12 +50,7 @@ fn count_only_armed_runs_match_unarmed_golden_digests() {
         &std::fs::read_to_string(golden_path())
             .expect("golden file missing; bless via the ktrace_golden test"),
     );
-    for cfg in [
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ] {
+    for cfg in Config::comparable() {
         for kind in [KfaultKind::ExtractRestore, KfaultKind::Transient] {
             let label = cfg.label.replace(' ', "_");
             let armed = cfg.clone().with_kfault(KfaultConfig::count_sites(kind));

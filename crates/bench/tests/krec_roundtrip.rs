@@ -38,7 +38,7 @@ fn assert_roundtrip(s: &Snapshot, what: &str) {
 /// configurations round-trip byte-identically.
 #[test]
 fn echo_site_snapshots_roundtrip() {
-    for cfg in fluke_bench::kfault_sweep::sweep_configs() {
+    for cfg in Config::comparable() {
         let armed = cfg
             .clone()
             .with_krec(KrecConfig::every_sites(3).with_ring(4096));

@@ -50,12 +50,7 @@ fn armed_recorder_runs_match_unarmed_golden_digests() {
         &std::fs::read_to_string(golden_path())
             .expect("golden file missing; bless via the ktrace_golden test"),
     );
-    for cfg in [
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ] {
+    for cfg in Config::comparable() {
         let label = cfg.label.replace(' ', "_");
         let bare = run_traced_flukeperf(cfg.clone(), Scale::Quick);
         let armed_cfg = cfg.with_krec(KrecConfig::every_sites(3).with_ring(4096));

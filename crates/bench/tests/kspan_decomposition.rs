@@ -6,12 +6,13 @@
 //! cycles — no cycle unattributed, none double-counted — mirroring
 //! kprof's sum-to-total contract one level up.
 
-use fluke_bench::kfault_sweep::{sweep_configs, SweepWorkload};
+use fluke_bench::kfault_sweep::SweepWorkload;
+use fluke_core::Config;
 
 #[test]
 fn every_request_decomposes_exactly_to_e2e() {
     for w in [SweepWorkload::IpcEcho, SweepWorkload::Checkpoint] {
-        for cfg in sweep_configs() {
+        for cfg in Config::comparable() {
             let label = format!("{} under {}", w.label(), cfg.label);
             let (_, _, _, k) = w
                 .run_kernel(&cfg.with_kspan(), None)
@@ -49,7 +50,7 @@ fn echo_requests_never_block_outside_ipc() {
     // waits): the blocked-other bucket must be exactly zero per request,
     // and cross-thread causality must be stitched (client and server
     // spans share requests via flow edges).
-    for cfg in sweep_configs() {
+    for cfg in Config::comparable() {
         let label = cfg.label;
         let (_, _, _, k) = SweepWorkload::IpcEcho
             .run_kernel(&cfg.with_kspan(), None)
@@ -76,7 +77,7 @@ fn checkpoint_contention_lands_on_the_mutex() {
     // The checkpoint workload's blocker waits on the child's mutex: the
     // per-object contention accounting must attribute lock-wait cycles
     // to a mutex object.
-    for cfg in sweep_configs() {
+    for cfg in Config::comparable() {
         let label = cfg.label;
         let (_, _, _, k) = SweepWorkload::Checkpoint
             .run_kernel(&cfg.with_kspan(), None)

@@ -46,20 +46,11 @@ fn parse_golden(text: &str) -> BTreeMap<String, (u64, u64)> {
     out
 }
 
-fn configs() -> Vec<Config> {
-    vec![
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ]
-}
-
 #[test]
 fn raw_ktrace_digests_match_blessed_goldens() {
     let bless = std::env::var("FLUKE_BLESS").is_ok();
     let mut current = BTreeMap::new();
-    for cfg in configs() {
+    for cfg in Config::comparable() {
         let label = cfg.label.replace(' ', "_");
         let k = run_traced_flukeperf(cfg, Scale::Quick);
         assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");

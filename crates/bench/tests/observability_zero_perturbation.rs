@@ -47,12 +47,7 @@ fn instrumented_runs_match_uninstrumented_golden_digests() {
         &std::fs::read_to_string(golden_path())
             .expect("golden file missing; bless via the ktrace_golden test"),
     );
-    for cfg in [
-        Config::process_np(),
-        Config::process_pp(),
-        Config::interrupt_np(),
-        Config::interrupt_pp(),
-    ] {
+    for cfg in Config::comparable() {
         let label = cfg.label.replace(' ', "_");
         // Same workload, same trace, but with the profiler enabled.
         let k = run_traced_flukeperf(cfg.with_kprof(), Scale::Quick);

@@ -5,12 +5,13 @@
 //! anything a program can observe — so whole runs must replay to
 //! identical trace digests, not merely identical outcomes.
 
-use fluke_bench::kfault_sweep::{sweep_configs, SweepWorkload};
+use fluke_bench::kfault_sweep::SweepWorkload;
 use fluke_bench::tracediff::{run_traced_flukeperf, trace_digest};
 use fluke_bench::Scale;
+use fluke_core::Config;
 
 fn oracle(workload: SweepWorkload, label: &str) {
-    for base in sweep_configs() {
+    for base in Config::comparable() {
         let name = format!("{label}/{}", base.label);
         let indexed = workload
             .run_kernel(&base.clone().with_port_index(true), None)

@@ -285,6 +285,19 @@ impl Config {
         ]
     }
 
+    /// The four comparable configurations: process vs interrupt model ×
+    /// no vs partial preemption. Full preemption exists only in the
+    /// process model, so it has no cross-model partner; the differential
+    /// checkers (see [`crate::oracle`]) run these four.
+    pub fn comparable() -> Vec<Config> {
+        vec![
+            Self::process_np(),
+            Self::interrupt_np(),
+            Self::process_pp(),
+            Self::interrupt_pp(),
+        ]
+    }
+
     /// Validate the configuration. Full preemption fundamentally relies on
     /// preempted threads retaining kernel stacks, so it is incompatible
     /// with the interrupt model (paper §5.2). Out-of-range values come

@@ -39,6 +39,7 @@ pub mod krec;
 pub mod kspan;
 pub mod kstat;
 pub mod object;
+pub mod oracle;
 pub mod phys;
 pub mod sched;
 pub mod space;
@@ -62,6 +63,7 @@ pub use kstat::{
     FaultKind, FaultRecord, FaultSide, KstatEntry, KstatRegistry, KstatValue, MemGauges,
     PerSysCounts, Stats,
 };
+pub use oracle::Outcome;
 pub use thread::{NativeAction, NativeBody, RunState, WaitReason};
 pub use tlb::TlbStats;
 pub use trace::{Histogram, TraceEvent, TraceRecord, TraceRing, Tracer, UserVisible};

@@ -25,15 +25,6 @@ const H_A: u32 = BASE; // handle destroyed via thread_destroy
 const H_B: u32 = BASE + 64; // second handle, stale after the destroy
 const SCRATCH: u32 = BASE + 0x1000;
 
-fn configs() -> [Config; 4] {
-    [
-        Config::process_np(),
-        Config::interrupt_np(),
-        Config::process_pp(),
-        Config::interrupt_pp(),
-    ]
-}
-
 /// Fetch the target's exported state frame through the API and return it.
 fn get_state(k: &mut Kernel, agent: &SyscallAgent, handle: u32) -> ThreadStateFrame {
     let nwords = ObjStateFrame::words_for(ObjType::Thread) as u32;
@@ -61,7 +52,7 @@ fn one_arg(handle: u32) -> UserRegs {
 
 #[test]
 fn stale_thread_handles_degrade_gracefully_in_all_configs() {
-    for cfg in configs() {
+    for cfg in Config::comparable() {
         let label = cfg.label;
         let mut k = Kernel::new(cfg);
         let child = k.create_space();

@@ -6,11 +6,10 @@
 //! sequences of object, mutex, and trivial calls — and runs it under
 //! the four comparable Table 4 configurations (process vs interrupt
 //! execution model × no/partial preemption). The user-visible outcome
-//! must be bit-identical everywhere:
+//! must be bit-identical everywhere ([`fluke_core::oracle`]):
 //!
 //! * the per-thread **user-visible trace projection** (syscall result
-//!   codes, `sys_trace` marks, halts — the same projection the bench
-//!   cross-model trace diff uses);
+//!   codes, `sys_trace` marks, halts);
 //! * each thread's final `eax`/`edi` (result code and running
 //!   checksum);
 //! * an FNV-64 checksum over every memory region the case touches.
@@ -21,32 +20,13 @@
 //! continuations, or the IPC pump — not an artifact of preemption
 //! timing. Case count scales with `FLUKE_FUZZ_CASES` (default 64).
 
-use std::collections::BTreeMap;
-
 use fluke_api::abi::{ARG_COUNT, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ObjType, Sys};
-use fluke_arch::{Assembler, Cond, Reg};
-use fluke_core::{Config, Kernel, ThreadId, UserVisible};
+use fluke_arch::{Assembler, Reg};
+use fluke_core::kfuzz::Rng;
+use fluke_core::{Config, Kernel, Outcome};
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
-
-/// Deterministic splitmix64 generator for case synthesis.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: u32, hi: u32) -> u32 {
-        lo + (self.next_u64() as u32) % (hi - lo)
-    }
-}
 
 /// One synthesized case, fully determined by its seed.
 struct Case {
@@ -157,36 +137,6 @@ fn emit_noise(a: &mut Assembler, ops: &[(u8, u32)], obj_base: u32, slot_base: u3
     }
 }
 
-/// Checksum `words` 32-bit words at `base` into `edi`.
-fn emit_checksum(a: &mut Assembler, base: u32, words: u32, label: &str) {
-    a.movi(Reg::Ebp, base);
-    a.movi(Reg::Ebx, base + words * 4);
-    a.label(label);
-    a.load(Reg::Edx, Reg::Ebp, 0);
-    a.add(Reg::Edi, Reg::Edx);
-    a.addi(Reg::Ebp, 4);
-    a.cmp(Reg::Ebp, Reg::Ebx);
-    a.jcc(Cond::Ne, label);
-}
-
-/// Everything a user program can observe of a finished run.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    /// Per-thread user-visible event sequences.
-    uv: BTreeMap<ThreadId, Vec<UserVisible>>,
-    /// (final `eax`, final `edi`) per main thread.
-    regs: Vec<(u32, u32)>,
-    /// FNV-64 over all touched memory regions.
-    mem: u64,
-}
-
-fn fnv(acc: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *acc ^= b as u64;
-        *acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Run one synthesized case under `cfg` and project the outcome.
 fn run_case(cfg: Config, case: &Case) -> Outcome {
     let label = cfg.label;
@@ -233,7 +183,7 @@ fn run_case(cfg: Config, case: &Case) -> Outcome {
         a.movi(ARG_VAL, case.len);
         a.sys(Sys::IpcClientSendOverReceive);
     }
-    emit_checksum(&mut a, crbuf, case.len / 4, "ck-echo");
+    a.checksum(crbuf, case.len / 4, "ck-echo");
     emit_noise(
         &mut a,
         &case.client_noise,
@@ -313,50 +263,29 @@ fn run_case(cfg: Config, case: &Case) -> Outcome {
         "case hung under {label}"
     );
 
-    let mut mem = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut mem, &k.read_mem(server.space, sbuf, case.len));
-    fnv(&mut mem, &k.read_mem(client.space, crbuf, case.len));
-    fnv(
-        &mut mem,
-        &k.read_mem(client.space, client.mem_base + 0x3000, 0x400),
-    );
-    fnv(
-        &mut mem,
-        &k.read_mem(worker.space, worker.mem_base + 0x3000, 0x400),
-    );
-    let drained: u32 = case.submit_lens.iter().sum();
-    fnv(&mut mem, &k.read_mem(submit.space, ring, n_ops * 16));
-    fnv(&mut mem, &k.read_mem(submit.space, s_dst, drained));
-
     assert!(
         k.flowcheck.violations.is_empty(),
         "flow-graph violations under {label}: {:?}",
         k.flowcheck.violations
     );
 
-    Outcome {
-        uv: k.trace.user_visible(),
-        regs: [st, ct, wt, bt, dt]
-            .iter()
-            .map(|&t| {
-                let r = k.thread_regs(t);
-                (r.get(Reg::Eax), r.get(Reg::Edi))
-            })
-            .collect(),
-        mem,
-    }
-}
-
-/// The four comparable configurations (Full preemption exists only in
-/// the process model, so it has no cross-model partner and is covered
-/// by the golden-trace suite instead).
-fn configs() -> [Config; 4] {
-    [
-        Config::process_np(),
-        Config::interrupt_np(),
-        Config::process_pp(),
-        Config::interrupt_pp(),
-    ]
+    let drained: u32 = case.submit_lens.iter().sum();
+    let regions = [
+        (server.space, sbuf, case.len),
+        (client.space, crbuf, case.len),
+        (client.space, client.mem_base + 0x3000, 0x400),
+        (worker.space, worker.mem_base + 0x3000, 0x400),
+        (submit.space, ring, n_ops * 16),
+        (submit.space, s_dst, drained),
+    ];
+    Outcome::capture(
+        &mut k,
+        &[st, ct, wt, bt, dt],
+        &[Reg::Eax, Reg::Edi],
+        &regions,
+        &[],
+    )
+    .unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
 fn case_count() -> u64 {
@@ -376,18 +305,19 @@ fn seeded_programs_identical_across_models_and_preemption() {
     for seed in 0..n {
         let case = Case::synth(0xD1FF_0000 ^ (seed * 0x9e37_79b9));
         let mut base: Option<(String, Outcome)> = None;
-        for cfg in configs() {
+        for cfg in Config::comparable() {
             let label = cfg.label;
             let got = run_case(cfg, &case);
             match &base {
                 None => base = Some((label.to_string(), got)),
                 Some((base_label, want)) => {
-                    assert_eq!(
-                        want, &got,
-                        "seed {seed}: {label} diverged from {base_label} \
-                         (len={}, slack={}, exchanges={})",
-                        case.len, case.slack, case.exchanges
-                    );
+                    if let Some(d) = want.first_difference(&got) {
+                        panic!(
+                            "seed {seed}: {label} diverged from {base_label}: {d} \
+                             (len={}, slack={}, exchanges={})",
+                            case.len, case.slack, case.exchanges
+                        );
+                    }
                 }
             }
         }

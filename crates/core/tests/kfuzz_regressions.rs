@@ -11,9 +11,9 @@
 
 use fluke_api::{ErrorCode, Sys};
 use fluke_core::kfuzz::{
-    differential_configs, run_program, Exec, FuzzOp, FuzzProgram, BUF_POOL, COUNT_POOL,
-    HANDLE_POOL, VAL_POOL,
+    run_program, Exec, FuzzOp, FuzzProgram, BUF_POOL, COUNT_POOL, HANDLE_POOL, VAL_POOL,
 };
+use fluke_core::Config;
 
 fn op(sys: Sys, h: u8, c: u8, v: u8, b: u8) -> FuzzOp {
     FuzzOp {
@@ -46,12 +46,12 @@ const TOP_WORD: u32 = fluke_core::kfuzz::FUZZ_TOP_BASE + 0xffc;
 /// are bit-identical, the program ran to its halt everywhere, and the
 /// flow checker saw nothing illegal. Returns the first config's run.
 fn run_all(prog: &FuzzProgram) -> Exec {
-    let mut execs: Vec<Exec> = differential_configs()
+    let mut execs: Vec<Exec> = Config::comparable()
         .into_iter()
         .map(|cfg| run_program(cfg, prog))
         .collect();
     for e in &execs {
-        assert!(e.outcome.halted, "program failed to halt");
+        assert!(e.halted, "program failed to halt");
         assert!(
             e.violations.is_empty(),
             "flow violations: {:?}",

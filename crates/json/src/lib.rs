@@ -148,6 +148,7 @@ impl Json {
     /// Parse a JSON document. The whole input must be consumed.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -206,6 +207,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -346,12 +348,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -417,6 +421,24 @@ mod tests {
         for bad in ["", "{", "[1,", "\"unterminated", "tru", "{\"a\":}", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_utf8_and_escapes_round_trip() {
+        let s = "µs → 10\u{1F600} \"q\" \\ tab\t nl\n ctl\u{1} ünï €";
+        let text = Json::Str(s.into()).to_string();
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+        let v = Json::parse("\"a\\u00e9b\\u20ac→\\n\"").unwrap();
+        assert_eq!(v.as_str(), Some("aéb€→\n"));
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses() {
+        let big = "ab→".repeat(1 << 20);
+        let text = format!("{{\"k\":\"{big}\"}}");
+        assert!(text.len() > 4 << 20);
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(big.as_str()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use fluke_api::abi::{ARG_COUNT, ARG_HANDLE, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::Sys;
-use fluke_arch::{Assembler, Reg};
+use fluke_arch::{Assembler, Cond, Reg};
 
 /// Libfluke: system-call emitters for the [`Assembler`].
 pub trait FlukeAsm {
@@ -58,6 +58,10 @@ pub trait FlukeAsm {
     /// Store a little-endian u32 constant to memory via `edx` (clobbers
     /// `edx` and `ebp`).
     fn store_const(&mut self, addr: u32, val: u32) -> &mut Self;
+
+    /// Add the `words` 32-bit words at `base` into `edi`, looping on a
+    /// fresh `label` (clobbers `ebx`, `edx` and `ebp`).
+    fn checksum(&mut self, base: u32, words: u32, label: &str) -> &mut Self;
 }
 
 impl FlukeAsm for Assembler {
@@ -153,6 +157,17 @@ impl FlukeAsm for Assembler {
         self.movi(Reg::Ebp, addr);
         self.movi(Reg::Edx, val);
         self.store(Reg::Ebp, 0, Reg::Edx)
+    }
+
+    fn checksum(&mut self, base: u32, words: u32, label: &str) -> &mut Self {
+        self.movi(Reg::Ebp, base);
+        self.movi(Reg::Ebx, base + words * 4);
+        self.label(label);
+        self.load(Reg::Edx, Reg::Ebp, 0);
+        self.add(Reg::Edi, Reg::Edx);
+        self.addi(Reg::Ebp, 4);
+        self.cmp(Reg::Ebp, Reg::Ebx);
+        self.jcc(Cond::Ne, label)
     }
 }
 

@@ -79,7 +79,20 @@ impl std::error::Error for WorkloadError {}
 /// [`WorkloadError`] if the safety budget elapses or the system wedges.
 pub fn try_run_workload(mut w: WorkloadRun, budget: Cycles) -> Result<RunResult, WorkloadError> {
     let start = w.kernel.now();
-    let deadline = start + budget;
+    try_finish(&mut w, budget)?;
+    Ok(RunResult {
+        elapsed: w.kernel.now() - start,
+        stats: w.kernel.stats.clone(),
+        config: w.kernel.cfg.label,
+        workload: w.label,
+    })
+}
+
+/// Run a built workload until its main threads halt, keeping the kernel
+/// for inspection; a structured [`WorkloadError`] if the safety budget
+/// elapses or the system wedges.
+pub fn try_finish(w: &mut WorkloadRun, budget: Cycles) -> Result<(), WorkloadError> {
+    let deadline = w.kernel.now() + budget;
     // Run in slices: a periodic probe keeps the timer queue non-empty
     // forever, so the kernel by itself would only return at the deadline.
     const SLICE: Cycles = 50_000; // 0.25ms granularity on completion time
@@ -87,7 +100,7 @@ pub fn try_run_workload(mut w: WorkloadRun, budget: Cycles) -> Result<RunResult,
         let exit = w.kernel.run(Some((w.kernel.now() + SLICE).min(deadline)));
         let done = w.main_threads.iter().all(|&t| w.kernel.thread_halted(t));
         if done {
-            break;
+            return Ok(());
         }
         match exit {
             RunExit::TimeLimit if w.kernel.now() >= deadline => {
@@ -105,12 +118,6 @@ pub fn try_run_workload(mut w: WorkloadRun, budget: Cycles) -> Result<RunResult,
             }
         }
     }
-    Ok(RunResult {
-        elapsed: w.kernel.now() - start,
-        stats: w.kernel.stats.clone(),
-        config: w.kernel.cfg.label,
-        workload: w.label,
-    })
 }
 
 /// Execute a built workload to completion (or the safety budget).
