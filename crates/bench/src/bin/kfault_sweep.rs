@@ -8,21 +8,31 @@
 //!   acceptance run uses the full space.
 //! * `FLUKE_KFAULT_WORKLOADS` — `echo`, `checkpoint`, or `all` (default).
 //!
-//! Exits nonzero if any combination diverges from its golden run, printing
-//! one deterministic reproducer line per divergence.
+//! A malformed site budget or an unknown workload exits 2 with a message.
+//! Otherwise exits nonzero if any combination diverges from its golden run,
+//! printing one deterministic reproducer line per divergence.
 
+use fluke_bench::gate::USAGE_EXIT;
 use fluke_bench::kfault_sweep::{sweep, SweepWorkload};
+use fluke_core::kfuzz::env_knob;
 use fluke_core::{Config, KfaultKind};
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("kfault_sweep: {msg}");
+    std::process::exit(USAGE_EXIT);
+}
+
 fn main() {
-    let budget = std::env::var("FLUKE_KFAULT_SITES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&b| b > 0);
+    let budget = env_knob("FLUKE_KFAULT_SITES", 0, 0, u64::MAX)
+        .unwrap_or_else(|e| usage_error(&e.to_string()));
+    let budget = Some(budget).filter(|&b| b > 0);
     let workloads: Vec<SweepWorkload> = match std::env::var("FLUKE_KFAULT_WORKLOADS").as_deref() {
         Ok("echo") => vec![SweepWorkload::IpcEcho],
         Ok("checkpoint") => vec![SweepWorkload::Checkpoint],
-        _ => vec![SweepWorkload::IpcEcho, SweepWorkload::Checkpoint],
+        Ok("all") | Err(_) => vec![SweepWorkload::IpcEcho, SweepWorkload::Checkpoint],
+        Ok(w) => usage_error(&format!(
+            "FLUKE_KFAULT_WORKLOADS={w:?}: unknown workload (want echo, checkpoint, all)"
+        )),
     };
     match budget {
         Some(b) => println!("kfault sweep: budget {b} sites per combination"),

@@ -6,7 +6,8 @@
 //! Usage: `krec_sweep [--check] [--out FILE]` (see [`fluke_bench::gate`]).
 //!
 //! * `FLUKE_KREC_STRIDE=N` snapshots every Nth dispatch-boundary site
-//!   (default 5; smaller = denser sweep).
+//!   (default 5; smaller = denser sweep). A malformed or zero stride
+//!   exits 2 with a message.
 //! * `FLUKE_KREC_WORKLOADS=ipc-echo,checkpoint,submit-ring` filters the
 //!   workload set (default: all three).
 //! * `--check` exits non-zero on any replay divergence and on
@@ -15,6 +16,7 @@
 
 use fluke_bench::gate::{Gate, USAGE_EXIT};
 use fluke_bench::krec_sweep::{self, KrecWorkload, ALL_WORKLOADS};
+use fluke_core::kfuzz::env_knob;
 
 const GATE: Gate = Gate {
     bin: "krec_sweep",
@@ -24,11 +26,10 @@ const GATE: Gate = Gate {
 
 fn main() {
     let args = GATE.args();
-    let stride = std::env::var("FLUKE_KREC_STRIDE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
+    let stride = env_knob("FLUKE_KREC_STRIDE", 5, 1, u64::MAX).unwrap_or_else(|e| {
+        eprintln!("krec_sweep: {e}");
+        std::process::exit(USAGE_EXIT);
+    });
     let workloads: Vec<KrecWorkload> = match std::env::var("FLUKE_KREC_WORKLOADS") {
         Ok(s) => s
             .split(',')

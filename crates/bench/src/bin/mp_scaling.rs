@@ -1,6 +1,6 @@
 //! The MP scaling headline: IPC-echo and flukeperf throughput on 1–64
-//! simulated processors, fine-grained locking vs the legacy big kernel
-//! lock, written to `BENCH_mp_scaling.json`.
+//! simulated processors, fine-grained locking vs the big-lock
+//! configuration, written to `BENCH_mp_scaling.json`.
 //!
 //! Usage: `mp_scaling [--quick] [--check] [--out FILE]` (see
 //! [`fluke_bench::gate`]).
@@ -10,7 +10,8 @@
 //!   quick smoke can gate against a same-scale reference).
 //! * `--quick` restricts the sweep to the quick scale.
 //! * `--check` gates against the committed `BENCH_mp_scaling.json`:
-//!   fails if the fresh 16-CPU fine-grained ipc-echo throughput fell more
+//!   fails if any fresh row differs from the committed row of the same
+//!   scale, if the fresh 16-CPU fine-grained ipc-echo throughput fell more
 //!   than 10% below the same-scale baseline, or if fine-grained locking no
 //!   longer beats the big lock on lock-wait share.
 

@@ -1,5 +1,5 @@
 //! The MP scaling headline: throughput as a function of processor count,
-//! 1 through 64, fine-grained locking vs the legacy big kernel lock.
+//! 1 through 64, fine-grained locking vs the big-lock configuration.
 //!
 //! Two workloads drive the curves:
 //!
@@ -13,7 +13,8 @@
 //!
 //! The binary `mp_scaling` prints the table, writes
 //! `BENCH_mp_scaling.json`, and with `--check` gates against the
-//! committed baseline (throughput regression and lock-wait share).
+//! committed baseline (any row change, throughput regression and
+//! lock-wait share).
 
 use fluke_api::abi::{ARG_COUNT, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ObjType, Sys};
@@ -275,10 +276,12 @@ pub fn to_json(scale: Scale, rows: &[MpRow]) -> Json {
     doc
 }
 
-/// The CI regression gate. Fails if the fresh fine-grained 16-CPU
-/// ipc-echo throughput (process model) fell more than 10% below the
-/// committed baseline *at the same scale*, or if fine-grained locking no
-/// longer reduces the lock-wait share below the big lock's at 16 CPUs.
+/// The CI regression gate. Fails if any fresh row differs from the
+/// committed row of the same scale (the rows are deterministic simulated
+/// values, so any difference is a behaviour change), if the fresh
+/// fine-grained 16-CPU ipc-echo throughput (process model) fell more than
+/// 10% below the committed baseline, or if fine-grained locking no longer
+/// reduces the lock-wait share below the big lock's at 16 CPUs.
 pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
     let gate_model = Config::process_pp().label;
     // The gated rows: ipc-echo, process PP, 16 CPUs, lock `want`.
@@ -296,11 +299,16 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
         )];
     };
     let mut errs = Vec::new();
-    let base_tp = scale_run(baseline, scale).and_then(|run| {
+    let base_rows = scale_run(baseline, scale).and_then(|run| {
         run.get("rows")
             .and_then(Json::items)
-            .ok_or("baseline JSON has no rows")?
-            .iter()
+            .ok_or_else(|| "baseline JSON has no rows".to_string())
+    });
+    if let Ok(rows) = base_rows {
+        errs.extend(row_changes(rows, scale, fresh));
+    }
+    let base_tp = base_rows.and_then(|rows| {
+        rows.iter()
             .find(|r| {
                 let s = |k| r.get(k).and_then(Json::as_str).unwrap_or("");
                 let cpus = r.get("cpus").and_then(Json::as_u64).unwrap_or(0);
@@ -325,6 +333,37 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
              fine {:.2}% vs big {:.2}%",
             100.0 * fine.lock_wait_share(),
             100.0 * big.lock_wait_share()
+        ));
+    }
+    errs
+}
+
+/// One message per fresh row whose JSON differs from the committed row at
+/// the same position, plus one if the row counts differ.
+fn row_changes(committed: &[Json], scale: Scale, fresh: &[MpRow]) -> Vec<String> {
+    let doc = to_json(scale, fresh);
+    let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
+    let mut errs: Vec<String> = fresh
+        .iter()
+        .zip(fresh_rows.iter().zip(committed))
+        .filter(|(_, (f, c))| f.to_string() != c.to_string())
+        .map(|(r, _)| {
+            format!(
+                "{} {} {} {}-CPU row differs from the committed {} row",
+                r.workload,
+                r.model,
+                r.lock,
+                r.cpus,
+                scale.label()
+            )
+        })
+        .collect();
+    if fresh.len() != committed.len() {
+        errs.push(format!(
+            "{} fresh rows vs {} committed {} rows",
+            fresh.len(),
+            committed.len(),
+            scale.label()
         ));
     }
     errs
@@ -398,6 +437,16 @@ mod tests {
             mk("big-lock", 2_000_000, 900_000),
         ];
         assert!(!check(&parsed, Scale::Quick, &contended).is_empty());
+
+        // Any change to any committed row trips the gate, gated or not.
+        let mut moved = rows.clone();
+        moved[1].steals += 1;
+        let errs = check(&parsed, Scale::Quick, &moved);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("big-lock 16-CPU row differs"), "{errs:?}");
+        let mut extra = rows.clone();
+        extra.push(rows[0].clone());
+        assert!(!check(&parsed, Scale::Quick, &extra).is_empty());
 
         // The combined multi-run artifact shape resolves by scale.
         let combined = scale_runs("mp_scaling", vec![to_json(Scale::Quick, &rows)]);

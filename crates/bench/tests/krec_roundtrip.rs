@@ -10,6 +10,7 @@
 use fluke_api::Sys;
 use fluke_arch::Assembler;
 use fluke_bench::kfault_sweep::SweepWorkload;
+use fluke_core::krec::{fnv64, Snap, SnapError, SnapWriter, FNV_OFFSET};
 use fluke_core::{Config, Kernel, KrecConfig, Replayer, Snapshot};
 use fluke_user::proc::ChildProc;
 use fluke_user::FlukeAsm;
@@ -181,10 +182,18 @@ fn submit_ring_snapshots_roundtrip() {
 
 /// Restored kernels don't just re-encode identically — they *re-execute*
 /// identically: replaying every echo snapshot to its epoch end verifies
-/// each recorded window's end digest, cycle, and exit reason.
+/// each recorded window's end digest, cycle, and exit reason. The
+/// multiprocessor kernels cover per-CPU run queues and lock stamps, and
+/// the big-lock kernel its one shared queue and global lock.
 #[test]
 fn echo_snapshots_replay_to_identical_digests() {
-    for cfg in [Config::process_np(), Config::interrupt_pp()] {
+    let mp = Config::process_pp().with_cpus(4);
+    for cfg in [
+        Config::process_np(),
+        Config::interrupt_pp(),
+        mp.clone(),
+        mp.with_big_lock(true),
+    ] {
         let armed = cfg
             .clone()
             .with_krec(KrecConfig::every_sites(11).with_ring(4096));
@@ -193,6 +202,7 @@ fn echo_snapshots_replay_to_identical_digests() {
             .unwrap_or_else(|e| panic!("{}: {e}", cfg.label));
         let final_digest = k.state_digest().unwrap();
         let rec = k.take_recording().expect("recorder armed");
+        assert!(!rec.snapshots.is_empty(), "{}: no snapshots", cfg.label);
         for i in 0..rec.snapshots.len() {
             let mut rp = Replayer::start(&rec, i)
                 .unwrap_or_else(|e| panic!("{} snapshot {i}: {e}", cfg.label));
@@ -209,5 +219,43 @@ fn echo_snapshots_replay_to_identical_digests() {
                 );
             }
         }
+    }
+}
+
+/// A snapshot whose run-queue count disagrees with its config (a 2-CPU
+/// image with the `big_lock` flag flipped, digest re-stamped) is rejected
+/// as invalid at restore instead of panicking on the first `run`.
+#[test]
+fn restore_rejects_run_queue_count_mismatch() {
+    let cfg = Config::process_pp().with_cpus(2);
+    // The config is encoded first, right after the magic and version; the
+    // one byte two encodings differing only in `big_lock` disagree on is
+    // the flag.
+    let encode = |c: &Config| {
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        w.finish()
+    };
+    let (fine, big) = (encode(&cfg), encode(&cfg.clone().with_big_lock(true)));
+    let flag = 8 + (0..fine.len()).find(|&i| fine[i] != big[i]).unwrap();
+    for big_lock in [true, false] {
+        let mut k = Kernel::new(cfg.clone().with_big_lock(big_lock));
+        let p = ChildProc::with_mem(&mut k, 0x0030_0000, 0x1000);
+        let mut a = Assembler::new("runq-count");
+        a.compute(100);
+        a.halt();
+        p.start(&mut k, a.finish(), 8);
+        let mut bytes = k.snapshot_bytes().unwrap();
+        assert!(Kernel::restore_from(&bytes).is_ok());
+        assert_eq!(bytes[flag], big_lock as u8);
+        bytes[flag] ^= 1;
+        let n = bytes.len() - 8;
+        let digest = fnv64(FNV_OFFSET, &bytes[..n]);
+        bytes[n..].copy_from_slice(&digest.to_le_bytes());
+        assert_eq!(
+            Kernel::restore_from(&bytes).err(),
+            Some(SnapError::Invalid("run-queue count")),
+            "big_lock={big_lock} image restored with the flag flipped"
+        );
     }
 }

@@ -174,21 +174,14 @@ pub struct Config {
     /// engine armed in count-only mode changes no simulated quantity
     /// either (the golden-digest proof obligation).
     pub kfault: Option<KfaultConfig>,
-    /// Serialize every kernel entry on the legacy big kernel lock and use
-    /// one global ready queue. Off by default: multiprocessor kernels use
-    /// the fine-grained per-object-class lock model with per-CPU run
-    /// queues and deterministic work stealing. Kept (like
-    /// `fast_mem(false)`) as a differential oracle and the baseline the
-    /// MP-scaling experiment is measured against. Uniprocessor behavior
-    /// is bit-identical either way.
+    /// Configure the fine-grained kernel as a big-lock kernel: every lock
+    /// key maps to one global key (no acquire/release overhead, only its
+    /// wait), and all CPUs share one run queue with no run-queue lock and
+    /// no stealing. Off by default: multiprocessor kernels use per-object-
+    /// class locks with per-CPU run queues and deterministic work
+    /// stealing. The baseline the MP-scaling experiment is measured
+    /// against. Uniprocessor behavior is bit-identical either way.
     pub big_lock: bool,
-    /// Use the O(1) generation-tagged port-namespace index: wait-queue
-    /// cancels tombstone instead of linearly sweeping, and connection
-    /// unlinks from port connect queues are hash-indexed (host-side only:
-    /// simulated cycle charges, traces and stats are bit-identical with
-    /// this on or off). Off selects the linear eager-removal reference
-    /// path, kept as a differential-testing oracle and benchmark baseline.
-    pub port_index: bool,
     /// A short human-readable label ("Process NP" etc.).
     pub label: &'static str,
     /// Deterministic whole-kernel snapshot recording (`krec`) arming.
@@ -219,7 +212,6 @@ impl Config {
             fast_mem: true,
             kfault: None,
             big_lock: false,
-            port_index: true,
             label: "Process NP",
             krec: None,
         }
@@ -259,7 +251,6 @@ impl Config {
             fast_mem: true,
             kfault: None,
             big_lock: false,
-            port_index: true,
             label: "Interrupt NP",
             krec: None,
         }
@@ -386,17 +377,9 @@ impl Config {
         self
     }
 
-    /// Select or deselect the O(1) port-namespace index (see
-    /// [`Config::port_index`]). `false` runs the linear eager-removal
-    /// reference path as a differential oracle.
-    pub fn with_port_index(mut self, indexed: bool) -> Self {
-        self.port_index = indexed;
-        self
-    }
-
-    /// Select the legacy big-kernel-lock execution (see
+    /// Select the big-kernel-lock configuration (see
     /// [`Config::big_lock`]): every kernel entry serializes on one lock
-    /// and all CPUs share one global ready queue.
+    /// and all CPUs share one run queue.
     pub fn with_big_lock(mut self, big: bool) -> Self {
         self.big_lock = big;
         self
@@ -404,8 +387,8 @@ impl Config {
 
     /// Run on `n` simulated processors (up to [`MAX_CPUS`]).
     /// Multiprocessor kernels default to fine-grained per-object-class
-    /// locking with per-CPU run queues; `with_big_lock(true)` restores
-    /// the serialized legacy behavior (the NP/PP rows of Table 4 need no
+    /// locking with per-CPU run queues; `with_big_lock(true)` serializes
+    /// them on one lock instead (the NP/PP rows of Table 4 need no
     /// locking only on a uniprocessor).
     pub fn with_cpus(mut self, n: usize) -> Self {
         self.num_cpus = n;
@@ -479,16 +462,6 @@ mod tests {
         }
         let c = Config::process_pp().with_cpus(4).with_big_lock(true);
         assert!(c.big_lock);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn port_index_knob_defaults_on() {
-        for c in Config::all_five() {
-            assert!(c.port_index, "{}", c.label);
-        }
-        let c = Config::process_pp().with_port_index(false);
-        assert!(!c.port_index);
         c.validate().unwrap();
     }
 

@@ -276,19 +276,14 @@ impl Kernel {
         let Some(c) = self.conns.remove(conn.0) else {
             return;
         };
-        // Drop from the port's pending queue if never accepted. With the
-        // port-namespace index this is an O(1) tombstone instead of the
-        // linear sweep the reference path performs — the scan that made
-        // connection churn O(pending²) at server scale.
+        // Drop from the port's pending queue if never accepted: an O(1)
+        // tombstone, not a linear sweep (which made connection churn
+        // O(pending²) at server scale).
         if let Some(ObjData::Port { connect_q, .. }) =
             self.objects.get_mut(c.port).map(|o| &mut o.data)
         {
-            if connect_q.cancel(conn, self.cfg.port_index, &mut self.stats.waitq) {
-                if self.cfg.port_index {
-                    self.stats.conn_unlinks_fast += 1;
-                } else {
-                    self.stats.conn_unlinks_linear += 1;
-                }
+            if connect_q.cancel(conn, &mut self.stats.waitq) {
+                self.stats.conn_unlinks_fast += 1;
             }
         }
         let mut ends = Vec::new();

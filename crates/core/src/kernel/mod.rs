@@ -48,7 +48,7 @@ use crate::kspan::Kspan;
 use crate::kstat::Stats;
 use crate::object::ObjectTable;
 use crate::phys::PhysMem;
-use crate::sched::{PerCpuQueues, ReadyQueue};
+use crate::sched::PerCpuQueues;
 use crate::space::Space;
 use crate::thread::{NativeBody, RunState, Thread, WaitReason};
 use crate::trace::{TraceEvent, Tracer};
@@ -107,10 +107,11 @@ pub(crate) type SysResult = Result<SysOutcome, SysOutcome>;
 /// shattering the big lock.
 ///
 /// Lock state is a per-key "busy until" timestamp in [`Kernel`]'s lock
-/// table, the same mechanism as the retired big lock: host-side, every
-/// critical section executes atomically, and CPUs act in global
-/// simulated-time order, so a free-at stamp per key is an exact model of
-/// a spinlock per key.
+/// table: host-side, every critical section executes atomically, and CPUs
+/// act in global simulated-time order, so a free-at stamp per key is an
+/// exact model of a spinlock per key. A `big_lock` kernel maps every key
+/// to [`LockKey::Global`] — the big lock is a configuration of this one
+/// mechanism, not a second one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum LockKey {
     /// The scheduler core: thread lifecycle, priorities, donation.
@@ -123,6 +124,9 @@ pub(crate) enum LockKey {
     Space(u32),
     /// One IPC connection (protects both ends and the transfer pump).
     Conn(u32),
+    /// The one lock of a `big_lock` kernel. It charges no acquire or
+    /// release overhead, only its wait.
+    Global,
 }
 
 impl LockKey {
@@ -137,6 +141,7 @@ impl LockKey {
             LockKey::Handles(_) => "handles",
             LockKey::Space(_) => "space",
             LockKey::Conn(_) => "ipc",
+            LockKey::Global => "klock",
         }
     }
 }
@@ -172,14 +177,8 @@ pub struct Kernel {
     /// smallest clock among unparked CPUs — actions occur in global time
     /// order).
     pub(crate) active: usize,
-    /// Big kernel lock: the simulated time until which kernel code on some
-    /// processor keeps the kernel busy. Only consulted under the legacy
-    /// `cfg.big_lock` oracle mode; the default fine-grained kernel uses
-    /// the per-key `locks` table instead.
-    pub(crate) kernel_free_at: Cycles,
-    /// Fine-grained lock table: per-[`LockKey`] "busy until" timestamps.
-    /// Absent keys are free. Only populated when `num_cpus > 1` and
-    /// `cfg.big_lock` is off.
+    /// Lock table: per-[`LockKey`] "busy until" timestamps. Absent keys
+    /// are free. Only populated when `num_cpus > 1`.
     pub(crate) locks: BTreeMap<LockKey, Cycles>,
     pub(crate) threads: Arena<Thread>,
     pub(crate) spaces: Arena<Space>,
@@ -187,9 +186,8 @@ pub struct Kernel {
     pub(crate) conns: Arena<Connection>,
     pub(crate) programs: Vec<Arc<Program>>,
     pub(crate) phys: PhysMem,
-    /// Legacy global ready queue (used only under `cfg.big_lock`).
-    pub(crate) ready: ReadyQueue,
-    /// Per-CPU ready queues (the default fine-grained scheduler).
+    /// Ready queues: one per CPU, or one shared by every CPU under
+    /// `cfg.big_lock`.
     pub(crate) runqs: PerCpuQueues,
     pub(crate) events: EventQueue,
     /// Run statistics (every table is derived from these).
@@ -256,13 +254,12 @@ impl Kernel {
                 parked: false,
             })
             .collect();
-        let num_cpus = cfg.num_cpus;
+        let runqs = PerCpuQueues::new(if cfg.big_lock { 1 } else { cfg.num_cpus });
         Ok(Kernel {
             cfg,
             cost: CostModel::pentium_pro_200(),
             cpus,
             active: 0,
-            kernel_free_at: 0,
             locks: BTreeMap::new(),
             threads: Arena::new(),
             spaces: Arena::new(),
@@ -270,8 +267,7 @@ impl Kernel {
             conns: Arena::new(),
             programs: Vec::new(),
             phys: PhysMem::new(),
-            ready: ReadyQueue::new(),
-            runqs: PerCpuQueues::new(num_cpus),
+            runqs,
             events: EventQueue::new(),
             stats: Stats::default(),
             trace,
@@ -368,40 +364,10 @@ impl Kernel {
         }
     }
 
-    /// Acquire the big kernel lock (legacy `cfg.big_lock` oracle mode):
-    /// spin until no other processor is executing kernel code.
-    /// Uniprocessor kernels need no locking (Table 4), so this is free
-    /// there.
-    pub(crate) fn big_lock(&mut self) {
-        if self.cfg.num_cpus > 1 {
-            let now = self.cur_cpu().cpu.now;
-            if self.kernel_free_at > now {
-                let wait = self.kernel_free_at - now;
-                self.stats.klock_cycles += wait;
-                self.stats.klock_wait_cycles += wait;
-                self.stats.kernel_cycles += wait;
-                self.kprof.attr_lock(wait);
-                if self.kspan.enabled {
-                    let cur = self.cur_cpu().current;
-                    self.kspan.on_lock_wait(cur, "klock", wait);
-                }
-                self.cur_cpu_mut().cpu.now += wait;
-            }
-        }
-    }
-
-    /// Release the big kernel lock.
-    pub(crate) fn big_unlock(&mut self) {
-        if self.cfg.num_cpus > 1 {
-            let now = self.cur_cpu().cpu.now;
-            self.kernel_free_at = self.kernel_free_at.max(now);
-        }
-    }
-
     /// Charge fixed lock-path overhead (acquire or release cost) on the
-    /// acting CPU, attributed to the `Lock` phase. Mirrors the big lock's
-    /// direct charging (no [`Kernel::charge`] — lock costs must not take
-    /// the full-preemption surcharge or fire events mid-acquire).
+    /// acting CPU, attributed to the `Lock` phase. Charged directly (no
+    /// [`Kernel::charge`] — lock costs must not take the full-preemption
+    /// surcharge or fire events mid-acquire).
     fn lock_overhead(&mut self, c: Cycles) {
         self.stats.klock_cycles += c;
         self.stats.kernel_cycles += c;
@@ -409,14 +375,27 @@ impl Kernel {
         self.cur_cpu_mut().cpu.now += c;
     }
 
-    /// Acquire one fine-grained lock: charge the uncontended acquire cost
-    /// and, if another CPU holds the same key, wait until it is released.
-    /// Free on uniprocessors, exactly like the big lock.
-    pub(crate) fn fine_lock(&mut self, key: LockKey) {
+    /// The lock `key` names in this configuration: itself, or
+    /// [`LockKey::Global`] in a `big_lock` kernel.
+    fn lock_key(&self, key: LockKey) -> LockKey {
+        if self.cfg.big_lock {
+            LockKey::Global
+        } else {
+            key
+        }
+    }
+
+    /// Acquire a kernel lock: charge the uncontended acquire cost and, if
+    /// another CPU holds the same key, wait until it is released. Free on
+    /// uniprocessors (Table 4).
+    pub(crate) fn lock(&mut self, key: LockKey) {
         if self.cfg.num_cpus <= 1 {
             return;
         }
-        self.lock_overhead(self.cost.mp_lock_acquire);
+        let key = self.lock_key(key);
+        if key != LockKey::Global {
+            self.lock_overhead(self.cost.mp_lock_acquire);
+        }
         let now = self.cur_cpu().cpu.now;
         let free_at = self.locks.get(&key).copied().unwrap_or(0);
         if free_at > now {
@@ -436,36 +415,20 @@ impl Kernel {
         }
     }
 
-    /// Release a fine-grained lock: charge the release cost and stamp the
-    /// key busy until now — the simulated-time image of the critical
-    /// section that just executed atomically host-side.
-    pub(crate) fn fine_unlock(&mut self, key: LockKey) {
+    /// Release a kernel lock: charge the release cost and stamp the key
+    /// busy until now — the simulated-time image of the critical section
+    /// that just executed atomically host-side.
+    pub(crate) fn unlock(&mut self, key: LockKey) {
         if self.cfg.num_cpus <= 1 {
             return;
         }
-        self.lock_overhead(self.cost.mp_lock_release);
+        let key = self.lock_key(key);
+        if key != LockKey::Global {
+            self.lock_overhead(self.cost.mp_lock_release);
+        }
         let now = self.cur_cpu().cpu.now;
         let e = self.locks.entry(key).or_insert(0);
         *e = (*e).max(now);
-    }
-
-    /// Kernel-entry lock: the big lock under `cfg.big_lock`, else the
-    /// fine-grained lock for the object class the entry touches.
-    pub(crate) fn kernel_lock(&mut self, key: LockKey) {
-        if self.cfg.big_lock {
-            self.big_lock();
-        } else {
-            self.fine_lock(key);
-        }
-    }
-
-    /// Release the kernel-entry lock taken by [`Kernel::kernel_lock`].
-    pub(crate) fn kernel_unlock(&mut self, key: LockKey) {
-        if self.cfg.big_lock {
-            self.big_unlock();
-        } else {
-            self.fine_unlock(key);
-        }
     }
 
     /// Classify a trap by the object class its handler will mutate —
@@ -503,49 +466,52 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Scheduler routing: one global queue under `cfg.big_lock`, per-CPU
-    // queues with deterministic work stealing otherwise.
+    // Scheduler routing: per-CPU queues with deterministic work stealing,
+    // or one shared queue under `cfg.big_lock`.
     // ------------------------------------------------------------------
 
-    /// True when the fine-grained per-CPU scheduler is active.
-    #[inline]
-    fn sched_fine(&self) -> bool {
-        !self.cfg.big_lock
+    /// The queue serving `cpu`: its own, or the one shared queue.
+    fn queue_of_cpu(&self, cpu: usize) -> usize {
+        cpu.min(self.runqs.cpus() - 1)
     }
 
-    /// A thread's home queue, clamped to the configured CPU count.
+    /// A thread's home queue.
     fn home_of(&self, t: ThreadId) -> usize {
-        self.threads
-            .get(t.0)
-            .map(|th| th.home_cpu)
-            .unwrap_or(0)
-            .min(self.cfg.num_cpus - 1)
+        let home = self.threads.get(t.0).map(|th| th.home_cpu).unwrap_or(0);
+        self.queue_of_cpu(home)
     }
 
-    /// Enqueue a runnable thread on its home CPU's queue (fine mode,
-    /// taking that queue's lock) or the global queue (big-lock mode).
-    pub(crate) fn sched_push(&mut self, t: ThreadId, prio: u32) {
-        if self.sched_fine() {
-            let home = self.home_of(t);
-            self.fine_lock(LockKey::RunQueue(home));
-            self.runqs.push(home, t, prio);
-            self.fine_unlock(LockKey::RunQueue(home));
-            self.stats.sched_pushes += 1;
-        } else {
-            self.ready.push(t, prio);
+    /// Take run queue `q`'s lock. A single shared queue takes none: a
+    /// timer wake outside any kernel entry must not wait on the big lock.
+    fn runq_lock(&mut self, q: usize) {
+        if self.runqs.cpus() > 1 {
+            self.lock(LockKey::RunQueue(q));
         }
+    }
+
+    /// Release the lock taken by [`Kernel::runq_lock`].
+    fn runq_unlock(&mut self, q: usize) {
+        if self.runqs.cpus() > 1 {
+            self.unlock(LockKey::RunQueue(q));
+        }
+    }
+
+    /// Enqueue a runnable thread on its home queue, under that queue's
+    /// lock.
+    pub(crate) fn sched_push(&mut self, t: ThreadId, prio: u32) {
+        let home = self.home_of(t);
+        self.runq_lock(home);
+        self.runqs.push(home, t, prio);
+        self.runq_unlock(home);
+        self.stats.sched_pushes += 1;
     }
 
     /// Loader/boot-time enqueue: same routing as [`Kernel::sched_push`]
     /// but charges no simulated time (the loader is outside time).
     fn sched_push_boot(&mut self, t: ThreadId, prio: u32) {
-        if self.sched_fine() {
-            let home = self.home_of(t);
-            self.runqs.push(home, t, prio);
-            self.stats.sched_pushes += 1;
-        } else {
-            self.ready.push(t, prio);
-        }
+        let home = self.home_of(t);
+        self.runqs.push(home, t, prio);
+        self.stats.sched_pushes += 1;
     }
 
     /// Enqueue a preempted or yielded-to thread at the head of its level
@@ -553,31 +519,24 @@ impl Kernel {
     /// continues where it ran, and a directed yield hands the local CPU
     /// over.
     pub(crate) fn sched_push_front_here(&mut self, t: ThreadId, prio: u32) {
-        if self.sched_fine() {
-            let here = self.active;
-            if let Some(th) = self.threads.get_mut(t.0) {
-                th.home_cpu = here;
-            }
-            self.fine_lock(LockKey::RunQueue(here));
-            self.runqs.push_front(here, t, prio);
-            self.fine_unlock(LockKey::RunQueue(here));
-            self.stats.sched_pushes += 1;
-        } else {
-            self.ready.push_front(t, prio);
+        let here = self.active;
+        if let Some(th) = self.threads.get_mut(t.0) {
+            th.home_cpu = here;
         }
+        let q = self.queue_of_cpu(here);
+        self.runq_lock(q);
+        self.runqs.push_front(q, t, prio);
+        self.runq_unlock(q);
+        self.stats.sched_pushes += 1;
     }
 
     /// Remove a specific thread from whichever ready queue holds it
     /// (destruction, state installation, directed scheduling).
     pub(crate) fn sched_remove(&mut self, t: ThreadId) {
-        if self.sched_fine() {
-            if let Some(q) = self.runqs.find(t) {
-                self.fine_lock(LockKey::RunQueue(q));
-                self.runqs.remove(t);
-                self.fine_unlock(LockKey::RunQueue(q));
-            }
-        } else {
-            self.ready.remove(t);
+        if let Some(q) = self.runqs.find(t) {
+            self.runq_lock(q);
+            self.runqs.remove(t);
+            self.runq_unlock(q);
         }
     }
 
@@ -586,22 +545,19 @@ impl Kernel {
     /// order starting after the thief. A stolen thread is re-homed to the
     /// thief. Returns `None` when every queue is empty.
     pub(crate) fn sched_next(&mut self) -> Option<ThreadId> {
-        if !self.sched_fine() {
-            return self.ready.pop();
-        }
-        let here = self.active;
+        let here = self.queue_of_cpu(self.active);
         if !self.runqs.cpu_empty(here) {
-            self.fine_lock(LockKey::RunQueue(here));
+            self.runq_lock(here);
             let t = self.runqs.pop(here);
-            self.fine_unlock(LockKey::RunQueue(here));
+            self.runq_unlock(here);
             return t;
         }
-        if self.cfg.num_cpus > 1 {
+        if self.runqs.cpus() > 1 {
             self.stats.sched_steal_attempts += 1;
             if let Some(v) = self.runqs.victim(here) {
-                self.fine_lock(LockKey::RunQueue(v));
+                self.runq_lock(v);
                 let t = self.runqs.pop(v);
-                self.fine_unlock(LockKey::RunQueue(v));
+                self.runq_unlock(v);
                 if let Some(t) = t {
                     self.stats.sched_steals += 1;
                     if let Some(th) = self.threads.get_mut(t.0) {
@@ -614,16 +570,11 @@ impl Kernel {
         None
     }
 
-    /// Highest priority the acting CPU could run next: its own queue in
-    /// fine mode (stealable work elsewhere is picked up when the CPU goes
-    /// idle, not by preempting the current thread), the global queue in
-    /// big-lock mode.
+    /// Highest priority the acting CPU could run next: its own queue's top
+    /// (stealable work elsewhere is picked up when the CPU goes idle, not
+    /// by preempting the current thread).
     pub(crate) fn sched_top_priority(&self) -> Option<u32> {
-        if self.sched_fine() {
-            self.runqs.top_priority(self.active)
-        } else {
-            self.ready.top_priority()
-        }
+        self.runqs.top_priority(self.queue_of_cpu(self.active))
     }
 
     /// Cross-CPU TLB shootdown after a mapping revocation in `sid`:
@@ -1439,41 +1390,40 @@ impl Kernel {
         let RunState::Blocked(reason) = th.state else {
             return;
         };
-        let indexed = self.cfg.port_index;
         match reason {
             WaitReason::Mutex(o) => {
                 if let Some(crate::object::ObjData::Mutex { waiters, .. }) =
                     self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    waiters.cancel(t, indexed, &mut self.stats.waitq);
+                    waiters.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::Cond(o) => {
                 if let Some(crate::object::ObjData::Cond { waiters }) =
                     self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    waiters.cancel(t, indexed, &mut self.stats.waitq);
+                    waiters.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::PortWait(o) => {
                 if let Some(crate::object::ObjData::Port { server_q, .. }) =
                     self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    server_q.cancel(t, indexed, &mut self.stats.waitq);
+                    server_q.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::PsetWait(o) => {
                 if let Some(crate::object::ObjData::Pset { server_q, .. }) =
                     self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    server_q.cancel(t, indexed, &mut self.stats.waitq);
+                    server_q.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::OnewaySend(o) => {
                 if let Some(crate::object::ObjData::Port { oneway_senders, .. }) =
                     self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    oneway_senders.cancel(t, indexed, &mut self.stats.waitq);
+                    oneway_senders.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::OnewayReceive(o) => {
@@ -1481,7 +1431,7 @@ impl Kernel {
                     oneway_receivers, ..
                 }) = self.objects.get_mut(o).map(|ob| &mut ob.data)
                 {
-                    oneway_receivers.cancel(t, indexed, &mut self.stats.waitq);
+                    oneway_receivers.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::IpcConnect(_)
@@ -1495,17 +1445,17 @@ impl Kernel {
             }
             WaitReason::Join(target) => {
                 if let Some(tt) = self.threads.get_mut(target.0) {
-                    tt.joiners.cancel(t, indexed, &mut self.stats.waitq);
+                    tt.joiners.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::SpaceIdle(sid) => {
                 if let Some(sp) = self.spaces.get_mut(sid.0) {
-                    sp.idle_waiters.cancel(t, indexed, &mut self.stats.waitq);
+                    sp.idle_waiters.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::Donate(d) => {
                 if let Some(tt) = self.threads.get_mut(d.0) {
-                    tt.donors.cancel(t, indexed, &mut self.stats.waitq);
+                    tt.donors.cancel(t, &mut self.stats.waitq);
                 }
             }
             WaitReason::Sleep => {}

@@ -17,7 +17,7 @@ use crate::thread::{Body, NativeAction, RunState};
 use crate::trace::TraceEvent;
 
 use super::mem::SpaceMemAdapter;
-use super::{Kernel, SysOutcome};
+use super::{Kernel, LockKey, SysOutcome};
 
 /// Longest stretch of user execution between loop iterations (bounds how
 /// stale the event check can get when no timer is pending).
@@ -132,17 +132,17 @@ impl Kernel {
             }
             let Some(cur) = self.cur_cpu().current else {
                 if let Some(next) = self.sched_next() {
-                    if self.cfg.big_lock {
-                        // Legacy oracle mode: even dispatch serializes on
-                        // the big kernel lock.
-                        self.big_lock();
-                        self.dispatch(next);
-                        self.big_unlock();
-                    } else {
-                        // Fine-grained mode: the run-queue lock was taken
-                        // inside `sched_next`; dispatch itself touches
-                        // only this CPU's slot and the chosen thread.
-                        self.dispatch(next);
+                    // A big-lock kernel dispatches under its one lock. A
+                    // fine-grained one took the run-queue lock inside
+                    // `sched_next`; dispatch itself touches only this
+                    // CPU's slot and the chosen thread.
+                    let global = self.cfg.big_lock;
+                    if global {
+                        self.lock(LockKey::Global);
+                    }
+                    self.dispatch(next);
+                    if global {
+                        self.unlock(LockKey::Global);
                     }
                     continue;
                 }
@@ -329,14 +329,14 @@ impl Kernel {
         };
         if let Some(trap) = trap {
             // Kernel entry locks the object class the handler will touch
-            // (fine-grained mode) or the whole kernel (`cfg.big_lock`).
-            // The key is classified once at entry; a chained entrypoint
-            // stays under the original key (chains stay within a family —
-            // e.g. `send_over_receive`'s stages share the connection).
+            // (the whole kernel under `cfg.big_lock`). The key is
+            // classified once at entry; a chained entrypoint stays under
+            // the original key (chains stay within a family — e.g.
+            // `send_over_receive`'s stages share the connection).
             let key = self.trap_lock_key(cur, trap);
-            self.kernel_lock(key);
+            self.lock(key);
             self.handle_trap(cur, trap);
-            self.kernel_unlock(key);
+            self.unlock(key);
         }
     }
 

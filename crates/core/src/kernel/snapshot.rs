@@ -48,6 +48,7 @@ impl Snap for LockKey {
                 w.u8(4);
                 w.u32(i);
             }
+            LockKey::Global => w.u8(5),
         }
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -57,6 +58,7 @@ impl Snap for LockKey {
             2 => LockKey::Handles(r.u32()?),
             3 => LockKey::Space(r.u32()?),
             4 => LockKey::Conn(r.u32()?),
+            5 => LockKey::Global,
             t => {
                 return Err(SnapError::BadTag {
                     what: "lockkey",
@@ -111,7 +113,6 @@ impl Kernel {
         self.cost.snap(w);
         self.cpus.snap(w);
         w.usize(self.active);
-        w.u64(self.kernel_free_at);
         self.locks.snap(w);
         self.threads.snap(w);
         self.spaces.snap(w);
@@ -122,7 +123,6 @@ impl Kernel {
             p.snap(w);
         }
         self.phys.snap(w);
-        self.ready.snap(w);
         self.runqs.snap(w);
         self.events.snap(w);
         self.stats.snap(w);
@@ -183,7 +183,6 @@ impl Kernel {
         let cost = Snap::restore(&mut r)?;
         let cpus = Snap::restore(&mut r)?;
         let active = r.usize()?;
-        let kernel_free_at = r.u64()?;
         let locks = Snap::restore(&mut r)?;
         let threads = Snap::restore(&mut r)?;
         let spaces = Snap::restore(&mut r)?;
@@ -198,7 +197,6 @@ impl Kernel {
             v
         };
         let phys = Snap::restore(&mut r)?;
-        let ready = Snap::restore(&mut r)?;
         let runqs = Snap::restore(&mut r)?;
         let events = Snap::restore(&mut r)?;
         let stats = Snap::restore(&mut r)?;
@@ -215,7 +213,6 @@ impl Kernel {
             cost,
             cpus,
             active,
-            kernel_free_at,
             locks,
             threads,
             spaces,
@@ -223,7 +220,6 @@ impl Kernel {
             conns,
             programs,
             phys,
-            ready,
             runqs,
             events,
             stats,
@@ -242,6 +238,10 @@ impl Kernel {
         };
         if k.active >= k.cpus.len() || k.cpus.len() != k.cfg.num_cpus {
             return Err(SnapError::Invalid("cpu slot count"));
+        }
+        let runqs = if k.cfg.big_lock { 1 } else { k.cfg.num_cpus };
+        if k.runqs.cpus() != runqs {
+            return Err(SnapError::Invalid("run-queue count"));
         }
         // Program text is interned by id, not serialized per thread:
         // re-resolve each thread's `text` the way `spawn_thread` does.

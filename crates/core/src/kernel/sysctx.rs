@@ -95,7 +95,8 @@ impl SysCtx {
 }
 
 /// Committed-snapshot state for the dispatch in flight on the acting
-/// CPU (one dispatch runs at a time under the big kernel lock).
+/// CPU (one dispatch runs at a time: host-side, every handler executes
+/// atomically).
 #[derive(Debug, Clone)]
 pub(crate) struct AuditState {
     /// The audited thread (the dispatch's caller).

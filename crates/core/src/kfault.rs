@@ -260,7 +260,7 @@ impl Kernel {
     /// manager checkpoints both ends of a pair wholesale — `kfault` tests
     /// the thread-local claim.
     fn inject_extract_restore(&mut self, victim: ThreadId, site: u64) {
-        self.kernel_lock(LockKey::Sched);
+        self.lock(LockKey::Sched);
         // Extraction forces the roll-back-and-restart contract: a retained
         // process-model kernel stack is discarded, so the registers are
         // the complete truth (same rule as `obj_get_state`).
@@ -308,7 +308,7 @@ impl Kernel {
             kind: KfaultKind::ExtractRestore.index() as u32,
             site,
         });
-        self.kernel_unlock(LockKey::Sched);
+        self.unlock(LockKey::Sched);
     }
 
     /// Drop every translation of the victim's space that the mapping
@@ -322,7 +322,7 @@ impl Kernel {
             Some(sid) => LockKey::Space(sid.0),
             None => LockKey::Sched,
         };
-        self.kernel_lock(key);
+        self.lock(key);
         if let Some(sid) = sid_opt {
             let mut vpns: Vec<u32> = self
                 .spaces
@@ -358,7 +358,7 @@ impl Kernel {
             kind: KfaultKind::PageFlush.index() as u32,
             site,
         });
-        self.kernel_unlock(key);
+        self.unlock(key);
     }
 }
 

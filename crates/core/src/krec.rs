@@ -52,7 +52,7 @@ use crate::kfault::{KfaultConfig, KfaultKind};
 /// Snapshot file magic: `"FKSN"`.
 pub const SNAP_MAGIC: [u8; 4] = *b"FKSN";
 /// Current snapshot format version.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit offset basis (shared with the sweep harnesses' digests).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1089,7 +1089,6 @@ impl Snap for Config {
         w.bool(self.fast_mem);
         self.kfault.snap(w);
         w.bool(self.big_lock);
-        w.bool(self.port_index);
         w.str(self.label);
         // `krec` is deliberately not encoded: the recorder is host-side
         // state, and a recording kernel must digest-match its replayed twin
@@ -1109,7 +1108,6 @@ impl Snap for Config {
             fast_mem: r.bool()?,
             kfault: Snap::restore(r)?,
             big_lock: r.bool()?,
-            port_index: r.bool()?,
             label: intern_static(r.str()?),
             krec: None,
             // `flowcheck`, like `krec`, is host-side observability and is

@@ -383,7 +383,7 @@ impl Kspan {
 
     /// A kernel-lock wait of `cycles` finished on the acting CPU (`t`
     /// its current thread, if any). Attributed to the contended lock's
-    /// object class (`"klock"` for the legacy big lock; `"sched"`,
+    /// object class (`"klock"` for the big lock's `Global` key; `"sched"`,
     /// `"space"`, `"handles"`, `"ipc"` for fine-grained classes), and
     /// carved out of the running span's on-CPU segment into the lock
     /// bucket.

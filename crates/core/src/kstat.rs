@@ -174,8 +174,8 @@ pub struct Stats {
     /// observability only; live spaces' counters are added on top by
     /// [`crate::Kernel::tlb_stats`]).
     pub tlb_retired: TlbStats,
-    /// Enqueues onto the fine-grained per-CPU ready queues (zero under
-    /// the legacy `big_lock` scheduler).
+    /// Enqueues onto the ready queues (the per-CPU queues, or the one
+    /// shared queue under `big_lock`).
     pub sched_pushes: u64,
     /// Threads stolen from another CPU's ready queue.
     pub sched_steals: u64,
@@ -203,13 +203,9 @@ pub struct Stats {
     /// Port lookups that chased a cross-space `Ref` indirection
     /// (`kernel.port.index.ref_chases`).
     pub port_ref_chases: u64,
-    /// Connection unlinks from a port's connect queue that took the O(1)
-    /// indexed path (`kernel.port.index.unlinks_fast`).
+    /// Connection unlinks from a port's connect queue, each an O(1)
+    /// indexed tombstone (`kernel.port.index.unlinks_fast`).
     pub conn_unlinks_fast: u64,
-    /// Connection unlinks that took the linear reference path — the
-    /// `port_index = false` differential oracle
-    /// (`kernel.port.index.unlinks_linear`).
-    pub conn_unlinks_linear: u64,
     /// One-way messages buffered in the kernel by the batched-submission
     /// path (`kernel.ipc.submit.buffered`).
     pub ipc_submit_buffered: u64,
@@ -565,7 +561,6 @@ impl Kernel {
         r.counter("kernel.waitq.wakes", s.waitq.wakes);
         r.counter("kernel.waitq.wake_alls", s.waitq.wake_alls);
         r.counter("kernel.waitq.cancels", s.waitq.cancels);
-        r.counter("kernel.waitq.cancels_linear", s.waitq.cancels_linear);
         r.counter(
             "kernel.waitq.tombstones_skipped",
             s.waitq.tombstones_skipped,
@@ -575,7 +570,6 @@ impl Kernel {
         r.counter("kernel.port.index.lookups", s.port_lookups);
         r.counter("kernel.port.index.ref_chases", s.port_ref_chases);
         r.counter("kernel.port.index.unlinks_fast", s.conn_unlinks_fast);
-        r.counter("kernel.port.index.unlinks_linear", s.conn_unlinks_linear);
 
         let tlb = self.tlb_stats();
         r.counter("kernel.tlb.hits", tlb.hits);
@@ -830,7 +824,6 @@ impl Snap for Stats {
         w.u64(self.port_lookups);
         w.u64(self.port_ref_chases);
         w.u64(self.conn_unlinks_fast);
-        w.u64(self.conn_unlinks_linear);
         w.u64(self.ipc_submit_buffered);
         w.u64(self.ipc_submit_ops);
         w.u64(self.ipc_submit_batches);
@@ -880,7 +873,6 @@ impl Snap for Stats {
             port_lookups: r.u64()?,
             port_ref_chases: r.u64()?,
             conn_unlinks_fast: r.u64()?,
-            conn_unlinks_linear: r.u64()?,
             ipc_submit_buffered: r.u64()?,
             ipc_submit_ops: r.u64()?,
             ipc_submit_batches: r.u64()?,

@@ -95,9 +95,9 @@ impl Default for ReadyQueue {
     }
 }
 
-/// Per-CPU ready queues for the fine-grained multiprocessor scheduler:
-/// one [`ReadyQueue`] per processor, plus the deterministic work-stealing
-/// victim scan. Pure data — all cycle charging (run-queue lock costs,
+/// The scheduler's ready queues: one [`ReadyQueue`] per processor (or a
+/// single queue shared by every processor in a `big_lock` kernel), plus
+/// the deterministic work-stealing victim scan. Pure data — all cycle charging (run-queue lock costs,
 /// steal IPIs) lives in the kernel, so this structure is reusable and
 /// unit-testable in isolation.
 ///

@@ -12,10 +12,10 @@
 //!   extraction, teardown) is the operation that used to be a linear
 //!   `retain()` over the queue. Here it is an O(1) *tombstone*: the waiter
 //!   is removed from the generation-tagged hash index and its queue entry
-//!   is skipped lazily when it reaches the front. The linear eager-removal
-//!   path is retained behind [`crate::Config::port_index`]` = false` as the
-//!   differential oracle — both paths produce bit-identical simulated
-//!   behavior (same wake order, same charges), only host cost differs.
+//!   is skipped lazily when it reaches the front. Tombstoning changes host
+//!   cost only: wake order and simulated charges are those of eager
+//!   removal (the unit tests check the queue against a plain `VecDeque`
+//!   model).
 //! - **Membership** tests are hash lookups instead of scans.
 //!
 //! Generation tags make tombstones ABA-safe: a member that cancels and
@@ -49,9 +49,6 @@ pub struct WaitqStats {
     pub wake_alls: u64,
     /// Waiters cancelled (unlinked from the middle of a queue).
     pub cancels: u64,
-    /// Cancels that took the linear eager-removal path (the
-    /// `port_index = false` differential oracle).
-    pub cancels_linear: u64,
     /// Dead (tombstoned) entries skipped by pops and drains.
     pub tombstones_skipped: u64,
     /// Amortized compaction sweeps triggered by tombstone buildup.
@@ -66,7 +63,6 @@ impl WaitqStats {
         self.wakes += o.wakes;
         self.wake_alls += o.wake_alls;
         self.cancels += o.cancels;
-        self.cancels_linear += o.cancels_linear;
         self.tombstones_skipped += o.tombstones_skipped;
         self.compactions += o.compactions;
     }
@@ -172,21 +168,14 @@ impl<T: Copy + Eq + Hash> WaitQueue<T> {
 
     /// Unlink `x` from the queue. Returns whether it was live.
     ///
-    /// With `indexed` (the default [`crate::Config::port_index`] mode) this
-    /// is an O(1) tombstone: drop the index entry, let the ring entry die
-    /// lazily. With `indexed = false` the entry is eagerly removed by a
-    /// linear sweep — the reference path the differential oracle runs.
-    pub fn cancel(&mut self, x: T, indexed: bool, st: &mut WaitqStats) -> bool {
-        let Some(gen) = self.live.remove(&x) else {
+    /// An O(1) tombstone: drop the index entry, let the ring entry die
+    /// lazily.
+    pub fn cancel(&mut self, x: T, st: &mut WaitqStats) -> bool {
+        if self.live.remove(&x).is_none() {
             return false;
-        };
-        st.cancels += 1;
-        if indexed {
-            self.maybe_compact(st);
-        } else {
-            st.cancels_linear += 1;
-            self.ring.retain(|&(m, g)| !(m == x && g == gen));
         }
+        st.cancels += 1;
+        self.maybe_compact(st);
         true
     }
 
@@ -209,7 +198,7 @@ impl<T: Copy + Eq + Hash> WaitQueue<T> {
             .map(|x| (std::cmp::Reverse(key(x)), x))
             .min_by(|(a, _), (b, _)| a.cmp(b))
             .map(|(_, x)| x)?;
-        let taken = self.cancel(best, true, st);
+        let taken = self.cancel(best, st);
         debug_assert!(taken);
         // The cancel above counted itself; reclassify as a wake.
         st.cancels -= 1;
@@ -240,7 +229,6 @@ impl Snap for WaitqStats {
             self.wakes,
             self.wake_alls,
             self.cancels,
-            self.cancels_linear,
             self.tombstones_skipped,
             self.compactions,
         ] {
@@ -254,7 +242,6 @@ impl Snap for WaitqStats {
             wakes: r.u64()?,
             wake_alls: r.u64()?,
             cancels: r.u64()?,
-            cancels_linear: r.u64()?,
             tombstones_skipped: r.u64()?,
             compactions: r.u64()?,
         })
@@ -341,54 +328,14 @@ mod tests {
         for i in 0..4u32 {
             q.enqueue(i, &mut s);
         }
-        assert!(q.cancel(1, true, &mut s));
-        assert!(q.cancel(2, true, &mut s));
-        assert!(!q.cancel(2, true, &mut s), "double cancel is a no-op");
+        assert!(q.cancel(1, &mut s));
+        assert!(q.cancel(2, &mut s));
+        assert!(!q.cancel(2, &mut s), "double cancel is a no-op");
         assert!(!q.contains(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(&mut s), Some(0));
         assert_eq!(q.pop(&mut s), Some(3));
         assert!(s.tombstones_skipped > 0);
-        assert_eq!(s.cancels_linear, 0);
-    }
-
-    #[test]
-    fn linear_cancel_matches_indexed_order() {
-        // The differential-oracle property in miniature: same op sequence,
-        // both cancel modes, identical pop order.
-        let ops: &[(&str, u32)] = &[
-            ("enq", 1),
-            ("enq", 2),
-            ("enq", 3),
-            ("cancel", 2),
-            ("enq", 4),
-            ("cancel", 1),
-            ("enq", 2),
-            ("cancel", 4),
-        ];
-        let mut popped = Vec::new();
-        for indexed in [true, false] {
-            let mut q = WaitQueue::new();
-            let mut s = st();
-            for &(op, x) in ops {
-                match op {
-                    "enq" => q.enqueue(x, &mut s),
-                    _ => {
-                        q.cancel(x, indexed, &mut s);
-                    }
-                }
-            }
-            let mut order = Vec::new();
-            while let Some(x) = q.pop(&mut s) {
-                order.push(x);
-            }
-            popped.push(order);
-            if !indexed {
-                assert!(s.cancels_linear > 0);
-            }
-        }
-        assert_eq!(popped[0], popped[1]);
-        assert_eq!(popped[0], vec![3, 2]);
     }
 
     #[test]
@@ -396,7 +343,7 @@ mod tests {
         let mut q = WaitQueue::new();
         let mut s = st();
         q.enqueue(7u32, &mut s);
-        q.cancel(7, true, &mut s); // stale entry stays in the ring
+        q.cancel(7, &mut s); // stale entry stays in the ring
         q.enqueue(8, &mut s);
         q.enqueue(7, &mut s); // fresh generation, queued *after* 8
         assert_eq!(q.pop(&mut s), Some(8));
@@ -412,7 +359,7 @@ mod tests {
             q.enqueue(i, &mut s);
         }
         for i in 0..31u32 {
-            q.cancel(i, true, &mut s);
+            q.cancel(i, &mut s);
         }
         assert!(s.compactions > 0);
         assert!(q.ring.len() <= 2 * q.len().max(4));
@@ -426,8 +373,8 @@ mod tests {
         for i in 0..4u32 {
             q.enqueue(i, &mut s);
         }
-        q.cancel(0, true, &mut s);
-        q.cancel(2, true, &mut s);
+        q.cancel(0, &mut s);
+        q.cancel(2, &mut s);
         assert_eq!(q.iter_live().collect::<Vec<_>>(), vec![1, 3]);
     }
 
@@ -456,9 +403,63 @@ mod tests {
         for i in 0..5u32 {
             q.enqueue(i, &mut s);
         }
-        q.cancel(3, true, &mut s);
+        q.cancel(3, &mut s);
         assert_eq!(q.drain(&mut s), vec![0, 1, 2, 4]);
         assert!(q.is_empty());
         assert_eq!(s.wake_alls, 1);
+    }
+
+    /// Random push/requeue/pop/cancel/drain sequences against a plain
+    /// `VecDeque` with eager removal: the tombstoning queue must agree on
+    /// every return value, the live order, and the wake/cancel counters.
+    #[test]
+    fn matches_vecdeque_model_on_random_sequences() {
+        let mut rng = crate::kfuzz::Rng(0x5eed_0a17);
+        for _ in 0..200 {
+            let mut q = WaitQueue::new();
+            let mut model: VecDeque<u32> = VecDeque::new();
+            let mut s = st();
+            let (mut cancels, mut wakes) = (0u64, 0u64);
+            for _ in 0..rng.range(1, 120) {
+                let x = rng.range(0, 12);
+                match rng.range(0, 10) {
+                    0..=3 if !model.contains(&x) => {
+                        q.enqueue(x, &mut s);
+                        model.push_back(x);
+                    }
+                    4 if !model.contains(&x) => {
+                        q.requeue_front(x, &mut s);
+                        model.push_front(x);
+                    }
+                    5 | 6 => {
+                        let want = model.pop_front();
+                        wakes += want.is_some() as u64;
+                        assert_eq!(q.pop(&mut s), want);
+                    }
+                    7 | 8 => {
+                        let pos = model.iter().position(|&m| m == x);
+                        if let Some(i) = pos {
+                            model.remove(i);
+                            cancels += 1;
+                        }
+                        assert_eq!(q.cancel(x, &mut s), pos.is_some());
+                    }
+                    9 => {
+                        let want: Vec<u32> = model.drain(..).collect();
+                        wakes += want.len() as u64;
+                        assert_eq!(q.drain(&mut s), want);
+                    }
+                    _ => {}
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.is_empty(), model.is_empty());
+                assert_eq!(q.contains(x), model.contains(&x));
+                assert!(q.iter_live().eq(model.iter().copied()));
+                // Tombstones never outnumber live entries past the
+                // compaction threshold.
+                assert!(q.ring.len() - q.len() <= q.len().max(7));
+            }
+            assert_eq!((s.cancels, s.wakes), (cancels, wakes));
+        }
     }
 }
