@@ -10,10 +10,13 @@ use fluke_arch::cost::{ms_to_cycles, Cycles};
 
 use crate::kfault::KfaultConfig;
 
-/// Largest supported simulated-CPU count. The conservative discrete-event
-/// scheduler is O(`num_cpus`) per action, so the cap is a cost guard, not
-/// a correctness limit; 64 covers the MP-scaling headline experiment.
+/// Largest supported simulated-CPU count: a hard limit. The scheduler's
+/// per-CPU sets (the parked set, the non-empty run-queue mask) are one
+/// `u64` bit per CPU, so a larger count is unsound, not merely slow; 64
+/// covers the MP-scaling headline experiment.
 pub const MAX_CPUS: usize = 64;
+
+const _: () = assert!(MAX_CPUS <= u64::BITS as usize, "CPU masks are one u64");
 
 /// A structured configuration-validation failure ([`Config::validate`]).
 ///

@@ -87,6 +87,12 @@ impl<T> Arena<T> {
             .filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v)))
     }
 
+    /// Number of slots, live or vacated: one past the largest index ever
+    /// issued (indices are never reused).
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()

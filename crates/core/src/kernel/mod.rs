@@ -20,6 +20,7 @@
 
 mod dispatch;
 mod ipc;
+mod locktable;
 pub(crate) mod mem;
 mod run;
 mod snapshot;
@@ -30,7 +31,6 @@ mod sysctx;
 pub use sysctx::block_audit_hits;
 pub(crate) use sysctx::SysCtx;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fluke_api::state::ThreadStateFrame;
@@ -48,11 +48,12 @@ use crate::kspan::Kspan;
 use crate::kstat::Stats;
 use crate::object::ObjectTable;
 use crate::phys::PhysMem;
-use crate::sched::PerCpuQueues;
+use crate::sched::{ClockIndex, PerCpuQueues};
 use crate::space::Space;
 use crate::thread::{NativeBody, RunState, Thread, WaitReason};
 use crate::trace::{TraceEvent, Tracer};
 
+use locktable::LockTable;
 pub use mem::SpaceMemAdapter;
 pub use run::RunExit;
 
@@ -159,10 +160,6 @@ pub(crate) struct CpuSlot {
     pub slice_end: Cycles,
     /// Space whose page tables are loaded (for address-space switch cost).
     pub last_space: Option<SpaceId>,
-    /// Parked: idle with nothing to run; excluded from scheduling until a
-    /// wake kicks it (event-driven idling keeps the interleaving
-    /// deterministic).
-    pub parked: bool,
 }
 
 /// The Fluke kernel: all simulated machine and kernel state for one run.
@@ -177,9 +174,15 @@ pub struct Kernel {
     /// smallest clock among unparked CPUs — actions occur in global time
     /// order).
     pub(crate) active: usize,
+    /// The CPU-clock index and the one copy of the parked set: a parked
+    /// CPU is idle with nothing to run and excluded from selection until
+    /// a wake kicks it (event-driven idling keeps the interleaving
+    /// deterministic). Derived from `cpus`; rebuilt on restore, never
+    /// serialized apart from the parked bits.
+    pub(crate) cpu_index: ClockIndex,
     /// Lock table: per-[`LockKey`] "busy until" timestamps. Absent keys
     /// are free. Only populated when `num_cpus > 1`.
-    pub(crate) locks: BTreeMap<LockKey, Cycles>,
+    pub(crate) locks: LockTable,
     pub(crate) threads: Arena<Thread>,
     pub(crate) spaces: Arena<Space>,
     pub(crate) objects: ObjectTable,
@@ -251,16 +254,17 @@ impl Kernel {
                 resched: false,
                 slice_end: timeslice,
                 last_space: None,
-                parked: false,
             })
             .collect();
+        let cpu_index = ClockIndex::new(vec![0; cfg.num_cpus], 0);
         let runqs = PerCpuQueues::new(if cfg.big_lock { 1 } else { cfg.num_cpus });
         Ok(Kernel {
             cfg,
             cost: CostModel::pentium_pro_200(),
             cpus,
             active: 0,
-            locks: BTreeMap::new(),
+            cpu_index,
+            locks: LockTable::default(),
             threads: Arena::new(),
             spaces: Arena::new(),
             objects: ObjectTable::new(),
@@ -342,12 +346,13 @@ impl Kernel {
     /// Unpark one idle processor so it can pick up newly runnable work,
     /// advancing its clock to the waking instant.
     pub(crate) fn kick_parked(&mut self, at: Cycles) {
-        if let Some(c) = self.cpus.iter_mut().find(|c| c.parked) {
-            let d = at.saturating_sub(c.cpu.now);
+        if let Some(i) = self.cpu_index.first_parked() {
+            let c = &mut self.cpus[i].cpu;
+            let d = at.saturating_sub(c.now);
             self.stats.idle_cycles += d;
             self.kprof.attr_idle(d);
-            c.cpu.now = c.cpu.now.max(at);
-            c.parked = false;
+            c.now = c.now.max(at);
+            self.cpu_index.unpark(i, c.now);
         }
     }
 
@@ -397,7 +402,7 @@ impl Kernel {
             self.lock_overhead(self.cost.mp_lock_acquire);
         }
         let now = self.cur_cpu().cpu.now;
-        let free_at = self.locks.get(&key).copied().unwrap_or(0);
+        let free_at = self.locks.free_at(key);
         if free_at > now {
             let wait = free_at - now;
             self.stats.klock_cycles += wait;
@@ -427,8 +432,7 @@ impl Kernel {
             self.lock_overhead(self.cost.mp_lock_release);
         }
         let now = self.cur_cpu().cpu.now;
-        let e = self.locks.entry(key).or_insert(0);
-        *e = (*e).max(now);
+        self.locks.stamp(key, now);
     }
 
     /// Classify a trap by the object class its handler will mutate —
@@ -593,12 +597,13 @@ impl Kernel {
         let ack = self.cost.tlb_shootdown_ack;
         let mut remotes = 0u64;
         for (i, slot) in self.cpus.iter_mut().enumerate() {
-            if i == here || slot.parked || slot.last_space != Some(sid) {
+            if i == here || self.cpu_index.is_parked(i) || slot.last_space != Some(sid) {
                 continue;
             }
             // The acting CPU always holds the minimum clock among unparked
             // CPUs, so advancing a remote clock never reorders the past.
             slot.cpu.now += ack;
+            self.cpu_index.set_clock(i, slot.cpu.now);
             remotes += 1;
         }
         if remotes == 0 {
@@ -1280,7 +1285,7 @@ impl Kernel {
                     target = Some((i, th.priority));
                 }
                 Some(_) => {}
-                None if !slot.parked => {
+                None if !self.cpu_index.is_parked(i) => {
                     // An unparked idle CPU will pick the thread up itself.
                     return;
                 }

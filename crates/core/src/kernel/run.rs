@@ -84,7 +84,12 @@ impl Kernel {
     fn run_inner(&mut self, limit: Option<Cycles>) -> RunExit {
         loop {
             // Choose the acting processor: smallest clock among unparked.
-            let Some(active) = self.pick_cpu() else {
+            // Only the CPU that acted last has a stale index leaf.
+            let last = self.active;
+            self.cpu_index.set_clock(last, self.cpus[last].cpu.now);
+            #[cfg(debug_assertions)]
+            self.check_cpu_index();
+            let Some(active) = self.cpu_index.min() else {
                 // Everyone is parked: hop idle time to the next timer
                 // event, or conclude the run.
                 match self.events.next_time() {
@@ -148,7 +153,7 @@ impl Kernel {
                 }
                 // Nothing to run here: park until someone kicks us.
                 self.cur_cpu_mut().resched = false;
-                self.cur_cpu_mut().parked = true;
+                self.cpu_index.park(self.active);
                 continue;
             };
             // Adversarial fault injection (`kfault`): every user-mode
@@ -166,14 +171,29 @@ impl Kernel {
         }
     }
 
-    /// The unparked processor with the smallest clock (ties: lowest id).
-    fn pick_cpu(&self) -> Option<usize> {
-        self.cpus
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.parked)
-            .min_by_key(|(i, c)| (c.cpu.now, *i))
-            .map(|(i, _)| i)
+    /// Debug cross-check of the CPU-clock index against the slots it
+    /// mirrors, and of its picks against the linear scans it replaced.
+    /// Called after the acting CPU is re-keyed, when every leaf is exact.
+    #[cfg(debug_assertions)]
+    fn check_cpu_index(&self) {
+        let ix = &self.cpu_index;
+        for (i, c) in self.cpus.iter().enumerate() {
+            assert_eq!(ix.clock(i), c.cpu.now, "cpu {i}: stale index clock");
+        }
+        let pick = (0..self.cpus.len())
+            .filter(|&i| !ix.is_parked(i))
+            .min_by_key(|&i| (self.cpus[i].cpu.now, i));
+        assert_eq!(ix.min(), pick, "index pick disagrees with the scan");
+    }
+
+    /// Debug reference for [`crate::sched::ClockIndex::min_other`]: the
+    /// smallest clock among the other unparked CPUs, by linear scan.
+    #[cfg(debug_assertions)]
+    fn second_clock_scan(&self) -> Option<Cycles> {
+        (0..self.cpus.len())
+            .filter(|&i| i != self.active && !self.cpu_index.is_parked(i))
+            .map(|i| self.cpus[i].cpu.now)
+            .min()
     }
 
     /// Preempt the current thread at a user-mode instruction boundary.
@@ -276,13 +296,11 @@ impl Kernel {
         // bounded skew.
         if self.cfg.num_cpus > 1 {
             const SYNC_QUANTUM: Cycles = 2_000;
-            let second = self
-                .cpus
-                .iter()
-                .enumerate()
-                .filter(|(i, c)| *i != self.active && !c.parked)
-                .map(|(_, c)| c.cpu.now)
-                .min();
+            // Exact: the index is stale only for the acting CPU, which
+            // `min_other` excludes.
+            let second = self.cpu_index.min_other(self.active);
+            #[cfg(debug_assertions)]
+            assert_eq!(second, self.second_clock_scan(), "second-smallest clock");
             if let Some(sec) = second {
                 deadline = deadline.min(sec.max(now) + SYNC_QUANTUM);
             }

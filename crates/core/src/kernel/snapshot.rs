@@ -20,8 +20,10 @@ use crate::krec::{
     fnv64, Krec, Recording, Snap, SnapError, SnapReader, SnapWriter, Snapshot, FNV_OFFSET,
     SNAP_MAGIC, SNAP_VERSION,
 };
+use crate::sched::ClockIndex;
 use crate::thread::Body;
 
+use super::locktable::{LockBounds, LockTable};
 use super::{CpuSlot, Kernel, LockKey};
 
 /// One contiguous resident-memory run: `(vaddr, bytes, writable)`
@@ -69,25 +71,66 @@ impl Snap for LockKey {
     }
 }
 
-impl Snap for CpuSlot {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cpu.snap(w);
-        self.current.snap(w);
-        w.bool(self.resched);
-        w.u64(self.slice_end);
-        self.last_space.snap(w);
-        w.bool(self.parked);
+// A CPU slot is encoded with its parked bit last. The bit lives in the
+// kernel's CPU-clock index, so the slot list is coded by the kernel.
+fn snap_cpus(cpus: &[CpuSlot], index: &ClockIndex, w: &mut SnapWriter) {
+    w.usize(cpus.len());
+    for (i, c) in cpus.iter().enumerate() {
+        c.cpu.snap(w);
+        c.current.snap(w);
+        w.bool(c.resched);
+        w.u64(c.slice_end);
+        c.last_space.snap(w);
+        w.bool(index.is_parked(i));
     }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CpuSlot {
+}
+
+/// Decode `num_cpus` CPU slots (a validated count) and rebuild the
+/// CPU-clock index over them.
+fn restore_cpus(
+    r: &mut SnapReader<'_>,
+    num_cpus: usize,
+) -> Result<(Vec<CpuSlot>, ClockIndex), SnapError> {
+    if r.usize()? != num_cpus {
+        return Err(SnapError::Invalid("cpu slot count"));
+    }
+    let mut cpus = Vec::with_capacity(num_cpus);
+    let mut parked = 0u64;
+    for i in 0..num_cpus {
+        cpus.push(CpuSlot {
             cpu: Snap::restore(r)?,
             current: Snap::restore(r)?,
             resched: r.bool()?,
             slice_end: r.u64()?,
             last_space: Snap::restore(r)?,
-            parked: r.bool()?,
-        })
+        });
+        if r.bool()? {
+            parked |= 1 << i;
+        }
     }
+    let index = ClockIndex::new(cpus.iter().map(|c| c.cpu.now).collect(), parked);
+    Ok((cpus, index))
+}
+
+// The lock table's format (SNAP_VERSION 2): a count, then the present
+// `(key, stamp)` pairs in `LockKey` order.
+fn snap_locks(locks: &LockTable, w: &mut SnapWriter) {
+    w.usize(locks.len());
+    for (k, at) in locks.entries() {
+        k.snap(w);
+        w.u64(at);
+    }
+}
+
+/// Decode the lock table's entries. They are checked against the arenas
+/// (decoded later in the stream) before any class vector is sized.
+fn restore_lock_entries(r: &mut SnapReader<'_>) -> Result<Vec<(LockKey, u64)>, SnapError> {
+    let n = r.usize()?;
+    let mut v = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        v.push((LockKey::restore(r)?, r.u64()?));
+    }
+    Ok(v)
 }
 
 impl Kernel {
@@ -111,9 +154,9 @@ impl Kernel {
     fn encode_body(&self, w: &mut SnapWriter) {
         self.cfg.snap(w);
         self.cost.snap(w);
-        self.cpus.snap(w);
+        snap_cpus(&self.cpus, &self.cpu_index, w);
         w.usize(self.active);
-        self.locks.snap(w);
+        snap_locks(&self.locks, w);
         self.threads.snap(w);
         self.spaces.snap(w);
         self.objects.snap(w);
@@ -159,8 +202,9 @@ impl Kernel {
     }
 
     /// Rebuild a kernel from a snapshot image: verify magic, version and
-    /// digest trailer, decode every field, rebuild derived indices, and
-    /// re-resolve each thread's program text from its [`ProgramId`].
+    /// digest trailer, decode every field, validate the configuration and
+    /// every lock key, rebuild derived indices, and re-resolve each
+    /// thread's program text from its [`ProgramId`].
     pub fn restore_from(bytes: &[u8]) -> Result<Kernel, SnapError> {
         if bytes.len() < SNAP_MAGIC.len() + 4 + 8 {
             return Err(SnapError::Truncated);
@@ -179,11 +223,15 @@ impl Kernel {
         if version != SNAP_VERSION {
             return Err(SnapError::BadVersion(version));
         }
-        let cfg = Snap::restore(&mut r)?;
+        let cfg: crate::Config = Snap::restore(&mut r)?;
+        // Everything sized by the CPU count relies on a valid config
+        // (masks are one bit per CPU): reject it before decoding further.
+        cfg.validate()
+            .map_err(|_| SnapError::Invalid("kernel configuration"))?;
         let cost = Snap::restore(&mut r)?;
-        let cpus = Snap::restore(&mut r)?;
+        let (cpus, cpu_index) = restore_cpus(&mut r, cfg.num_cpus)?;
         let active = r.usize()?;
-        let locks = Snap::restore(&mut r)?;
+        let lock_entries = restore_lock_entries(&mut r)?;
         let threads = Snap::restore(&mut r)?;
         let spaces = Snap::restore(&mut r)?;
         let objects = Snap::restore(&mut r)?;
@@ -213,7 +261,8 @@ impl Kernel {
             cost,
             cpus,
             active,
-            locks,
+            cpu_index,
+            locks: LockTable::default(),
             threads,
             spaces,
             objects,
@@ -236,13 +285,20 @@ impl Kernel {
             // restored config never enables it — see `Snap for Config`).
             flowcheck: crate::flowcheck::Flowcheck::default(),
         };
-        if k.active >= k.cpus.len() || k.cpus.len() != k.cfg.num_cpus {
+        if k.active >= k.cpus.len() {
             return Err(SnapError::Invalid("cpu slot count"));
         }
         let runqs = if k.cfg.big_lock { 1 } else { k.cfg.num_cpus };
         if k.runqs.cpus() != runqs {
             return Err(SnapError::Invalid("run-queue count"));
         }
+        let bounds = LockBounds {
+            runqs,
+            spaces: k.spaces.slots(),
+            conns: k.conns.slots(),
+            global: k.cfg.big_lock,
+        };
+        k.locks = LockTable::from_entries(&lock_entries, &bounds).map_err(SnapError::Invalid)?;
         // Program text is interned by id, not serialized per thread:
         // re-resolve each thread's `text` the way `spawn_thread` does.
         let bindings: Vec<(u32, ProgramId)> = k
@@ -396,5 +452,128 @@ impl Kernel {
             mid_run: true,
             bytes,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Config, Preemption, MAX_CPUS};
+
+    /// Recompute a tampered image's digest trailer, so restore gets past
+    /// the integrity check and has to judge the contents.
+    fn restamp(bytes: &mut [u8]) {
+        let n = bytes.len() - 8;
+        let digest = fnv64(FNV_OFFSET, &bytes[..n]);
+        bytes[n..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    fn encode_cfg(c: &Config) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        w.finish()
+    }
+
+    /// The image of `good` with its config bytes replaced by `bad`'s
+    /// (same encoded length), re-stamped.
+    fn with_config(good: &Config, bad: &Config) -> Vec<u8> {
+        let (g, b) = (encode_cfg(good), encode_cfg(bad));
+        assert_eq!(g.len(), b.len());
+        let mut bytes = Kernel::new(good.clone()).snapshot_bytes().unwrap();
+        let at = SNAP_MAGIC.len() + 4;
+        assert_eq!(bytes[at..at + g.len() - 8], g[..g.len() - 8]);
+        bytes[at..at + b.len() - 8].copy_from_slice(&b[..b.len() - 8]);
+        restamp(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn restore_rejects_interrupt_model_with_full_preemption() {
+        let good = Config::interrupt_np();
+        let mut bad = good.clone();
+        bad.preempt = Preemption::Full;
+        assert!(bad.validate().is_err());
+        let bytes = with_config(&good, &bad);
+        assert_eq!(
+            Kernel::restore_from(&bytes).err(),
+            Some(SnapError::Invalid("kernel configuration"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_more_cpus_than_the_masks_hold() {
+        let good = Config::process_pp().with_cpus(2);
+        let mut bad = good.clone();
+        bad.num_cpus = MAX_CPUS + 1;
+        let bytes = with_config(&good, &bad);
+        assert_eq!(
+            Kernel::restore_from(&bytes).err(),
+            Some(SnapError::Invalid("kernel configuration"))
+        );
+    }
+
+    /// A fresh `cfg` kernel's image with its (empty) lock table replaced
+    /// by `entries`, re-stamped.
+    fn with_locks(cfg: Config, entries: &[(LockKey, u64)]) -> Vec<u8> {
+        let k = Kernel::new(cfg);
+        let mut w = SnapWriter::new();
+        k.cfg.snap(&mut w);
+        k.cost.snap(&mut w);
+        snap_cpus(&k.cpus, &k.cpu_index, &mut w);
+        w.usize(k.active);
+        let at = SNAP_MAGIC.len() + 4 + w.len();
+        let mut bytes = k.snapshot_bytes().unwrap();
+        assert_eq!(bytes[at..at + 8], [0; 8], "lock table not empty");
+        let mut locks = SnapWriter::new();
+        locks.usize(entries.len());
+        for (key, stamp) in entries {
+            key.snap(&mut locks);
+            locks.u64(*stamp);
+        }
+        let locks = locks.finish();
+        bytes.splice(at..at + 8, locks[..locks.len() - 8].iter().copied());
+        restamp(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn restore_rejects_lock_keys_outside_the_kernel() {
+        let mp = Config::process_pp().with_cpus(4);
+        // The splice itself is sound: in-range keys restore and re-encode.
+        let ok = with_locks(
+            mp.clone(),
+            &[(LockKey::Sched, 7), (LockKey::RunQueue(3), 9)],
+        );
+        let k = Kernel::restore_from(&ok).unwrap();
+        assert_eq!(k.snapshot_bytes().unwrap(), ok);
+        let big = mp.clone().with_big_lock(true);
+        assert!(Kernel::restore_from(&with_locks(big, &[(LockKey::Global, 1)])).is_ok());
+
+        for (cfg, key, why) in [
+            (
+                &mp,
+                LockKey::Conn(u32::MAX),
+                "object lock key past its arena",
+            ),
+            (&mp, LockKey::Space(0), "object lock key past its arena"),
+            (
+                &mp,
+                LockKey::Handles(1 << 20),
+                "object lock key past its arena",
+            ),
+            (
+                &mp,
+                LockKey::RunQueue(4),
+                "run-queue lock key past the run-queue count",
+            ),
+            (&mp, LockKey::Global, "global lock key without big_lock"),
+        ] {
+            let bytes = with_locks(cfg.clone(), &[(LockKey::Sched, 1), (key, 2)]);
+            assert_eq!(
+                Kernel::restore_from(&bytes).err(),
+                Some(SnapError::Invalid(why)),
+                "{key:?}"
+            );
+        }
     }
 }

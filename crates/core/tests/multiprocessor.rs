@@ -229,3 +229,39 @@ fn rpc_correct_on_every_mp_configuration() {
         );
     }
 }
+
+/// A TLB shootdown advances the clocks of *other* CPUs — one of the two
+/// places the run loop's CPU-clock index is re-keyed for a CPU that is
+/// not acting. Burners share a space with a thread that keeps
+/// write-protecting a resident region, so each downgrade interrupts the
+/// burners' CPUs. The run must be deterministic, and in debug builds the
+/// run loop checks the index against every clock on each iteration.
+#[test]
+fn tlb_shootdowns_to_running_cpus_are_deterministic() {
+    let run = || {
+        let mut k = Kernel::new(Config::process_pp().with_cpus(4));
+        let mut p = ChildProc::with_mem(&mut k, 0x0010_0000, 0x4000);
+        let h = p.alloc_obj();
+        k.loader_region(p.space, h, p.mem_base, 0x4000, None);
+        let mut a = Assembler::new("protector");
+        a.movi(Reg::Esi, 40);
+        a.label("top");
+        a.sys_hv(Sys::RegionProtect, h, 0);
+        a.sys_hv(Sys::RegionProtect, h, 1);
+        a.compute(3_000);
+        a.subi(Reg::Esi, 1);
+        a.cmpi(Reg::Esi, 0);
+        a.jcc(Cond::Ne, "top");
+        a.halt();
+        let mut ts = vec![p.start(&mut k, a.finish(), 8)];
+        let prog = k.register_program(burner(150));
+        for _ in 0..3 {
+            ts.push(k.spawn_thread(p.space, prog, fluke_arch::UserRegs::new(), 8));
+        }
+        assert!(run_to_halt(&mut k, &ts, 10_000_000_000));
+        (k.stats.tlb_shootdown_ipis, k.now(), k.total_cpu_cycles())
+    };
+    let first = run();
+    assert!(first.0 > 0, "no shootdown reached a remote CPU");
+    assert_eq!(first, run());
+}
