@@ -7,14 +7,17 @@
 //!
 //! Usage: `kmon [--check] [--out FILE] [--flame FILE]` (see
 //! [`fluke_bench::gate`]) — scale via `FLUKE_BENCH_SCALE`. `--check`
-//! (quick scale only) verifies the preemption-latency maxima against the
-//! blessed CI bounds and fails if any config's kspan end-to-end p99
+//! (quick scale only) fails if any field of the fresh report differs
+//! from the committed one (naming the first differing path — the quick
+//! report is fully simulated, so any change is a behaviour change of
+//! the kernel or an observer), if a preemption-latency maximum exceeds
+//! its blessed CI bound, or if any config's kspan end-to-end p99
 //! regressed by more than 10% against the committed report. `--flame`
 //! writes the per-request-class collapsed flamegraph (one
 //! `class;path cycles` line per frame, all configs concatenated) for
 //! `flamegraph.pl`-style tools.
 
-use fluke_bench::gate::{Gate, USAGE_EXIT};
+use fluke_bench::gate::{first_difference, Gate, USAGE_EXIT};
 use fluke_bench::{observability, Scale};
 
 const GATE: Gate = Gate {
@@ -47,7 +50,14 @@ fn main() {
         println!("wrote {f} ({} frames)", lines.len());
     }
     if let Some(c) = committed {
-        let mut errs = observability::check_regression(&runs);
+        let mut errs: Vec<String> = first_difference(&c, &doc)
+            .map(|path| {
+                let at = if path.is_empty() { "its root" } else { &path };
+                format!("fresh report differs from {} at {at}", GATE.committed)
+            })
+            .into_iter()
+            .collect();
+        errs.extend(observability::check_regression(&runs));
         errs.extend(observability::check_e2e_regression(&c, &doc));
         GATE.finish(&errs);
     }

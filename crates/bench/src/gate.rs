@@ -168,9 +168,62 @@ pub fn scale_run(report: &Json, scale: Scale) -> Result<&Json, String> {
     }
 }
 
+/// The path of the first field at which `fresh` differs from
+/// `committed` (`configs[2].kspan.e2e.p99`; empty when the roots
+/// themselves differ), or `None` when the reports are equal. Objects are
+/// walked in key order; leaves compare by their written form, so a value
+/// equal to the committed one after a write/parse round trip is
+/// unchanged.
+pub fn first_difference(committed: &Json, fresh: &Json) -> Option<String> {
+    fn join(head: String, tail: String) -> String {
+        match tail.chars().next() {
+            None => head,
+            Some('[') => head + &tail,
+            Some(_) => format!("{head}.{tail}"),
+        }
+    }
+    match (committed, fresh) {
+        (Json::Obj(a), Json::Obj(b)) => {
+            let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
+            keys.into_iter().find_map(|k| match (a.get(k), b.get(k)) {
+                (Some(x), Some(y)) => first_difference(x, y).map(|p| join(k.clone(), p)),
+                _ => Some(k.clone()),
+            })
+        }
+        (Json::Arr(a), Json::Arr(b)) => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (x, y))| first_difference(x, y).map(|p| join(format!("[{i}]"), p)))
+            .or_else(|| (a.len() != b.len()).then(|| format!("[{}]", a.len().min(b.len())))),
+        _ => (committed.to_string() != fresh.to_string()).then(String::new),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_difference_names_the_path() {
+        let j = |t: &str| Json::parse(t).unwrap();
+        let a = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}}],"scale":"quick"}"#);
+        assert_eq!(first_difference(&a, &a.clone()), None);
+        let b = j(r#"{"configs":[{"label":"x","kspan":{"p99":11}}],"scale":"quick"}"#);
+        assert_eq!(
+            first_difference(&a, &b).as_deref(),
+            Some("configs[0].kspan.p99")
+        );
+        let c = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}},{}],"scale":"quick"}"#);
+        assert_eq!(first_difference(&a, &c).as_deref(), Some("configs[1]"));
+        let d = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}}],"scale":"quick","new":1}"#);
+        assert_eq!(first_difference(&a, &d).as_deref(), Some("new"));
+        assert_eq!(
+            first_difference(&j("[[1]]"), &j("[[2]]")).as_deref(),
+            Some("[0][0]")
+        );
+        assert_eq!(first_difference(&j("1"), &j("[]")).as_deref(), Some(""));
+    }
 
     fn gate(committed: &'static str) -> Gate {
         Gate {

@@ -397,6 +397,49 @@ mod tests {
         );
     }
 
+    /// Every observer armed at once on a multiprocessor changes nothing
+    /// simulated and stays exact: kprof sums to every CPU's clock and
+    /// matches the kernel's own cycle counters, kspan decomposes every
+    /// request (lock waits included), and flowcheck sees a clean run.
+    #[test]
+    fn armed_observers_are_exact_on_four_cpus() {
+        let ex = exchanges(Scale::Quick);
+        for model in models() {
+            for big in [false, true] {
+                let cfg = model.clone().with_cpus(4).with_big_lock(big);
+                let label = format!("{} big_lock={big}", cfg.label);
+                let off = run_echo_pairs(cfg.clone(), 4, ex);
+                let armed = cfg
+                    .with_tracing(1 << 16)
+                    .with_kprof()
+                    .with_kspan()
+                    .with_flowcheck();
+                let k = run_echo_pairs(armed, 4, ex);
+                assert_eq!(k.total_cpu_cycles(), off.total_cpu_cycles(), "{label}");
+                assert_eq!(k.now(), off.now(), "{label}");
+                assert_eq!(k.kprof.total(), k.total_cpu_cycles(), "{label}");
+                assert_eq!(k.kprof.user_cycles(), k.stats.user_cycles, "{label}");
+                assert_eq!(k.kprof.kernel_cycles(), k.stats.kernel_cycles, "{label}");
+                assert_eq!(k.kprof.idle_cycles(), k.stats.idle_cycles, "{label}");
+                let reqs = k.kspan.completed();
+                assert!(!reqs.is_empty(), "{label}: no requests");
+                for r in reqs {
+                    assert_eq!(r.decomposed(), r.e2e(), "{label}: request {}", r.req);
+                }
+                let lock_wait: u64 = reqs.iter().map(|r| r.lock_wait).sum();
+                if big {
+                    assert!(lock_wait > 0, "{label}: no lock wait under the big lock");
+                }
+                assert_eq!(
+                    k.flowcheck.violations_total,
+                    0,
+                    "{label}: first violation {:?}",
+                    k.flowcheck.violations.first()
+                );
+            }
+        }
+    }
+
     #[test]
     fn json_and_check_round_trip() {
         let mk = |lock: &'static str, elapsed: u64, waits: u64| MpRow {

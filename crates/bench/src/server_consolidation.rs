@@ -268,10 +268,10 @@ pub fn run_echo(batched: bool, msgs: u64) -> Kernel {
         run_to_halt(&mut k, &[pt, ct], BUDGET),
         "echo tier hung (batched={batched})"
     );
-    // Delivery sanity only: the oneway rendezvous path historically
-    // counts a message at both the pump and its caller, the buffered
-    // path once at delivery, so the exact counter value differs by path.
-    assert!(k.stats.ipc_messages >= msgs, "echo tier lost messages");
+    assert_eq!(
+        k.stats.ipc_messages, msgs,
+        "echo tier must count each message exactly once (batched={batched})"
+    );
     k
 }
 

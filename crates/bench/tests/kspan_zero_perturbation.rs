@@ -1,5 +1,6 @@
 //! The `kspan` zero-perturbation test: enabling causal request tracing
-//! on top of `kprof` must change *nothing* simulated.
+//! on top of `kprof` (and the `flowcheck` checker) must change *nothing*
+//! simulated.
 //!
 //! Identical oracle to the kstat/kprof test: the raw ktrace digests in
 //! `tests/golden/ktrace_digests.txt` were blessed with all
@@ -47,8 +48,17 @@ fn kspan_runs_match_uninstrumented_golden_digests() {
     );
     for cfg in Config::comparable() {
         let label = cfg.label.replace(' ', "_");
-        let k = run_traced_flukeperf(cfg.with_kprof().with_kspan(), Scale::Quick);
+        let k = run_traced_flukeperf(cfg.with_kprof().with_kspan().with_flowcheck(), Scale::Quick);
         assert_eq!(k.trace.dropped_total(), 0, "{label}: trace overflowed");
+        // Every observer consumes the same probe stream: the flow checker
+        // riding along sees a clean run (each exit decoded as the
+        // entrypoint that actually completed).
+        assert_eq!(
+            k.flowcheck.violations_total,
+            0,
+            "{label}: flowcheck violations, first {:?}",
+            k.flowcheck.violations.first()
+        );
         // The tracer really ran: requests completed, each decomposed
         // exactly into the five critical-path buckets.
         assert!(k.kspan.enabled, "{label}: kspan should be enabled");

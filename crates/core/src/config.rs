@@ -109,8 +109,8 @@ pub const PP_CHUNK_BYTES: u32 = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Whether kernel events are recorded. Off by default: a disabled
-    /// tracer costs one predictable branch per emission site and
-    /// allocates nothing.
+    /// tracer allocates nothing, and with every observer off each probe
+    /// point is one predictable branch.
     pub enabled: bool,
     /// Per-CPU ring capacity in records; overflow drops the oldest
     /// records and counts them.
@@ -146,20 +146,17 @@ pub struct Config {
     pub timeslice: Cycles,
     /// Kernel tracing (`ktrace`) knob.
     pub trace: TraceConfig,
-    /// Cycle-attribution profiling (`kprof`) knob. Off by default: a
-    /// disabled profiler costs one predictable branch per hook and never
-    /// perturbs simulated quantities either way (the attribution reads
-    /// the same charges the kernel makes regardless).
+    /// Cycle-attribution profiling (`kprof`) knob. Off by default. The
+    /// profiler never perturbs simulated quantities either way (the
+    /// attribution reads the same charges the kernel makes regardless).
     pub kprof: bool,
     /// Causal request tracing and critical-path attribution (`kspan`)
-    /// knob. Off by default: a disabled layer costs one predictable
-    /// branch per hook; enabled, it observes the same simulated clocks
+    /// knob. Off by default. Enabled, it observes the same simulated clocks
     /// and transitions the kernel performs regardless, so runs are
     /// bit-identical either way (the golden-digest proof obligation).
     pub kspan: bool,
     /// Syscall-flow integrity checking (`flowcheck`) knob. Off by
-    /// default: a disabled checker costs one predictable branch per
-    /// syscall completion. Enabled, it shadows every object lifecycle
+    /// default. Enabled, it shadows every object lifecycle
     /// (create → use → move → destroy, per the `SysDesc`-derived flow
     /// graph) and every blocked call's restart re-entry against
     /// `fluke_api::flow`, recording violations as structured data on the

@@ -30,8 +30,8 @@ use fluke_api::flow::{flow_op, restart_closure, val_role, FlowOp, ValRole};
 use fluke_api::{abi, ErrorCode, ObjType, Sys};
 
 use crate::ids::ThreadId;
-use crate::kernel::Kernel;
 use crate::phys::FrameId;
+use crate::probe::{Probe, ProbeCx};
 
 /// A physical object location: the frame and in-frame offset a handle's
 /// virtual address translates to (object identity per the paper §2).
@@ -125,201 +125,155 @@ impl Flowcheck {
         }
     }
 
-    /// Check-and-update one lifecycle action at a known location.
-    fn apply(&mut self, thread: ThreadId, sys: Sys, vaddr: u32, loc: Loc, op: FlowOp) {
+    /// Check-and-update one lifecycle action at a known location. A move
+    /// (`moving`) destroys its source and creates its target, reported
+    /// with the move-specific violation kinds.
+    fn apply(
+        &mut self,
+        thread: ThreadId,
+        sys: Sys,
+        vaddr: u32,
+        loc: Loc,
+        op: FlowOp,
+        moving: bool,
+    ) {
+        use ViolationKind as V;
         self.checks += 1;
-        match op {
-            FlowOp::Create(ty) => {
-                if let Some(Some(found)) = self.shadow.get(&loc) {
-                    self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::CreateOverLive(*found),
-                    });
-                }
-                self.shadow.insert(loc, Some(ty));
+        let kind = match (op, self.shadow.get(&loc).copied()) {
+            (FlowOp::Create(_), Some(Some(found))) if moving => Some(V::MoveTargetLive(found)),
+            (FlowOp::Create(_), Some(Some(found))) => Some(V::CreateOverLive(found)),
+            (FlowOp::Destroy(_), Some(None)) if moving => Some(V::MoveSourceAbsent),
+            (FlowOp::Destroy(_), Some(None)) => Some(V::DestroyAbsent),
+            (FlowOp::Use(_), Some(None)) => Some(V::UseAfterDestroy),
+            // Several handle paths transparently chase Reference objects,
+            // so a live Reference satisfies any use.
+            (FlowOp::Use(_), Some(Some(ObjType::Reference))) => None,
+            (FlowOp::Destroy(expected) | FlowOp::Use(expected), Some(Some(found)))
+                if found != expected =>
+            {
+                Some(V::TypeConfusion { expected, found })
             }
-            FlowOp::Destroy(ty) => {
-                match self.shadow.get(&loc) {
-                    Some(None) => self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::DestroyAbsent,
-                    }),
-                    Some(Some(found)) if *found != ty => self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::TypeConfusion {
-                            expected: ty,
-                            found: *found,
-                        },
-                    }),
-                    _ => {}
-                }
-                self.shadow.insert(loc, None);
-            }
-            FlowOp::Use(ty) => match self.shadow.get(&loc) {
-                Some(None) => self.record(Violation {
-                    thread,
-                    sys,
-                    vaddr,
-                    kind: ViolationKind::UseAfterDestroy,
-                }),
-                // Several handle paths transparently chase Reference
-                // objects, so a live Reference satisfies any use.
-                Some(Some(found)) if *found != ty && *found != ObjType::Reference => {
-                    self.record(Violation {
-                        thread,
-                        sys,
-                        vaddr,
-                        kind: ViolationKind::TypeConfusion {
-                            expected: ty,
-                            found: *found,
-                        },
-                    })
-                }
-                _ => {}
-            },
-            FlowOp::Move(_) | FlowOp::Other => unreachable!("handled by caller"),
+            _ => None,
+        };
+        if let Some(kind) = kind {
+            self.record(Violation {
+                thread,
+                sys,
+                vaddr,
+                kind,
+            });
         }
+        match op {
+            FlowOp::Create(ty) => self.shadow.insert(loc, Some(ty)),
+            FlowOp::Destroy(_) => self.shadow.insert(loc, None),
+            _ => None,
+        };
     }
 }
 
-impl Kernel {
-    /// Translate `vaddr` in `t`'s space to a physical location, exactly
-    /// as handle lookup does (read access; no fault side effects).
-    fn flowcheck_loc(&self, t: ThreadId, vaddr: u32) -> Option<Loc> {
-        let sid = self.threads.get(t.0)?.space?;
-        self.spaces.get(sid.0)?.translate(vaddr, false)
-    }
-
-    /// Flowcheck hook at syscall completion (both the running
-    /// `finish_syscall` path and the blocked `complete_blocked` path),
-    /// called while `eax` still names the completed entrypoint. Clears
-    /// the thread's block record and, on success, applies the
-    /// entrypoint's lifecycle actions to the shadow map.
-    pub(crate) fn flowcheck_exit(&mut self, t: ThreadId, code: ErrorCode) {
-        if !self.flowcheck.on {
+impl Flowcheck {
+    /// The `flowcheck` consumer of the probe stream: validate re-entry
+    /// at syscall entry, apply lifecycle actions at completion, and
+    /// remember the dispatched entrypoint at every block or in-kernel
+    /// preemption.
+    pub(crate) fn observe(&mut self, p: &Probe, cx: &ProbeCx) {
+        if !self.on {
             return;
         }
-        self.flowcheck.blocked.remove(&t.0);
+        match *p {
+            Probe::Enter { thread, restarting } => self.entry(thread, restarting, cx),
+            Probe::Exit { thread, code, .. } => self.exit(thread, code, cx),
+            Probe::Block { thread, .. } | Probe::KernelPreempt { thread } => {
+                self.note_block(thread, cx.dispatch)
+            }
+            _ => {}
+        }
+    }
+
+    /// At syscall completion, while `eax` still names the completed
+    /// entrypoint: clear the thread's block record and, on success, apply
+    /// the entrypoint's lifecycle actions to the shadow map.
+    fn exit(&mut self, t: ThreadId, code: ErrorCode, cx: &ProbeCx) {
+        self.blocked.remove(&t.0);
         if code != ErrorCode::Success {
             return;
         }
-        let Some(th) = self.threads.get(t.0) else {
+        let Some(regs) = cx.regs(t) else {
             return;
         };
-        let Some(sys) = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax)) else {
+        let Some(sys) = Sys::from_u32(regs.get(fluke_arch::Reg::Eax)) else {
             return;
         };
-        let hv = th.regs.get(abi::ARG_HANDLE);
-        let vv = th.regs.get(abi::ARG_VAL);
-        match flow_op(sys) {
-            FlowOp::Other => {}
-            FlowOp::Move(ty) => {
-                // Source: live with this type → absent.
-                if let Some(loc) = self.flowcheck_loc(t, hv) {
-                    self.flowcheck.checks += 1;
-                    match self.flowcheck.shadow.get(&loc) {
-                        Some(None) => self.flowcheck.record(Violation {
-                            thread: t,
-                            sys,
-                            vaddr: hv,
-                            kind: ViolationKind::MoveSourceAbsent,
-                        }),
-                        Some(Some(found)) if *found != ty => {
-                            let found = *found;
-                            self.flowcheck.record(Violation {
-                                thread: t,
-                                sys,
-                                vaddr: hv,
-                                kind: ViolationKind::TypeConfusion {
-                                    expected: ty,
-                                    found,
-                                },
-                            })
-                        }
-                        _ => {}
-                    }
-                    self.flowcheck.shadow.insert(loc, None);
-                }
-                // Target: must not be known-live → live with this type.
-                if let Some(loc) = self.flowcheck_loc(t, vv) {
-                    self.flowcheck.checks += 1;
-                    if let Some(Some(found)) = self.flowcheck.shadow.get(&loc) {
-                        let found = *found;
-                        self.flowcheck.record(Violation {
-                            thread: t,
-                            sys,
-                            vaddr: vv,
-                            kind: ViolationKind::MoveTargetLive(found),
-                        });
-                    }
-                    self.flowcheck.shadow.insert(loc, Some(ty));
-                }
-            }
-            op => {
-                if let Some(loc) = self.flowcheck_loc(t, hv) {
-                    self.flowcheck.apply(t, sys, hv, loc, op);
-                }
-                // A secondary object named by the value register
-                // (`cond_wait`'s mutex, `*_reference`'s Reference) is a
-                // use of that type.
-                if let ValRole::Object(oty) = val_role(sys) {
-                    if let Some(loc) = self.flowcheck_loc(t, vv) {
-                        self.flowcheck.apply(t, sys, vv, loc, FlowOp::Use(oty));
-                    }
-                }
+        let hv = regs.get(abi::ARG_HANDLE);
+        let vv = regs.get(abi::ARG_VAL);
+        let (moving, actions) = match flow_op(sys) {
+            FlowOp::Other => return,
+            // A move vacates its source and occupies its target.
+            FlowOp::Move(ty) => (
+                true,
+                [
+                    Some((hv, FlowOp::Destroy(ty))),
+                    Some((vv, FlowOp::Create(ty))),
+                ],
+            ),
+            // A secondary object named by the value register
+            // (`cond_wait`'s mutex, `*_reference`'s Reference) is a use of
+            // that type.
+            op => (
+                false,
+                [
+                    Some((hv, op)),
+                    match val_role(sys) {
+                        ValRole::Object(oty) => Some((vv, FlowOp::Use(oty))),
+                        _ => None,
+                    },
+                ],
+            ),
+        };
+        for (vaddr, op) in actions.into_iter().flatten() {
+            if let Some(loc) = cx.translate(t, vaddr) {
+                self.apply(t, sys, vaddr, loc, op, moving);
             }
         }
     }
 
-    /// Flowcheck hook at an audited block/preempt point: remember the
-    /// dispatched entrypoint so the next re-entry can be validated
-    /// against its restart closure. Outside a dispatch (a user-mode
-    /// fault blocking on its keeper) any stale record is cleared — that
-    /// wait is not a syscall continuation.
-    pub(crate) fn flowcheck_note_block(&mut self, t: ThreadId, dispatched: Option<Sys>) {
-        if !self.flowcheck.on {
-            return;
-        }
-        match dispatched {
-            Some(sys) => {
-                self.flowcheck.blocked.insert(t.0, sys);
+    /// At a block or in-kernel preemption: remember the entrypoint the
+    /// audited dispatch of `t` was running, so the next re-entry can be
+    /// validated against its restart closure. Outside a dispatch (a
+    /// user-mode fault blocking on its keeper) any stale record is
+    /// cleared — that wait is not a syscall continuation.
+    fn note_block(&mut self, t: ThreadId, dispatch: Option<(ThreadId, Sys)>) {
+        match dispatch {
+            Some((d, sys)) if d == t => {
+                self.blocked.insert(t.0, sys);
             }
+            Some(_) => {}
             None => {
-                self.flowcheck.blocked.remove(&t.0);
+                self.blocked.remove(&t.0);
             }
         }
     }
 
-    /// Flowcheck hook at syscall (re-)entry: a restarting thread with a
-    /// recorded block must re-enter inside the recorded entrypoint's
-    /// restart closure. Fresh entries clear any stale record.
-    pub(crate) fn flowcheck_entry(&mut self, t: ThreadId, restarting: bool) {
-        if !self.flowcheck.on {
-            return;
-        }
+    /// At syscall (re-)entry: a restarting thread with a recorded block
+    /// must re-enter inside the recorded entrypoint's restart closure.
+    /// Fresh entries clear any stale record.
+    fn entry(&mut self, t: ThreadId, restarting: bool, cx: &ProbeCx) {
         if !restarting {
-            self.flowcheck.blocked.remove(&t.0);
+            self.blocked.remove(&t.0);
             return;
         }
-        let Some(&orig) = self.flowcheck.blocked.get(&t.0) else {
+        let Some(&orig) = self.blocked.get(&t.0) else {
             return;
         };
-        let eax = match self.threads.get(t.0) {
-            Some(th) => th.regs.get(fluke_arch::Reg::Eax),
-            None => return,
+        let Some(regs) = cx.regs(t) else {
+            return;
         };
-        self.flowcheck.checks += 1;
-        match Sys::from_u32(eax) {
+        self.checks += 1;
+        match Sys::from_u32(regs.get(fluke_arch::Reg::Eax)) {
             Some(sys) if restart_closure(orig).contains(sys) => {}
             reentered => {
                 let sys = reentered.unwrap_or(orig);
-                self.flowcheck.record(Violation {
+                self.record(Violation {
                     thread: t,
                     sys,
                     vaddr: 0,
@@ -338,7 +292,7 @@ mod tests {
     use fluke_arch::{Reg, UserRegs};
 
     /// A kernel with one thread whose registers we can stage directly,
-    /// so the hooks can be driven with outcomes the real (correct)
+    /// so the probes can be driven with outcomes the real (correct)
     /// kernel would never produce — that is exactly what the checker
     /// exists to catch.
     fn staged() -> (Kernel, ThreadId, u32) {
@@ -349,6 +303,28 @@ mod tests {
         let pid = k.register_program(fluke_arch::Assembler::new("noop").finish());
         let t = k.spawn_thread(space, pid, UserRegs::new(), 8);
         (k, t, base)
+    }
+
+    fn exit(k: &mut Kernel, thread: ThreadId, code: ErrorCode) {
+        k.probe(Probe::Exit {
+            thread,
+            code,
+            closes: false,
+        });
+    }
+
+    fn enter(k: &mut Kernel, thread: ThreadId, restarting: bool) {
+        k.probe(Probe::Enter { thread, restarting });
+    }
+
+    /// Block `thread` inside an audited dispatch of `sys`.
+    fn block_as(k: &mut Kernel, thread: ThreadId, sys: Sys) {
+        k.audit_begin(thread, sys);
+        k.probe(Probe::Block {
+            thread,
+            reason: crate::thread::WaitReason::Sleep,
+        });
+        k.audit_end();
     }
 
     fn stage(k: &mut Kernel, t: ThreadId, sys: Sys, handle: u32) {
@@ -362,12 +338,12 @@ mod tests {
         let (mut k, t, base) = staged();
         // A successful create marks the location live…
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert!(k.flowcheck.violations.is_empty());
         // …so a second successful create at the same location is a
         // lifecycle violation.
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations.len(), 1);
         assert_eq!(
             k.flowcheck.violations[0].kind,
@@ -376,9 +352,9 @@ mod tests {
         // Destroy → definitely absent; a *successful* use afterwards is
         // use-after-destroy.
         stage(&mut k, t, Sys::MutexDestroy, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations.len(), 2);
         assert_eq!(
             k.flowcheck.violations[1].kind,
@@ -386,7 +362,7 @@ mod tests {
         );
         // Failed completions assert nothing.
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::InvalidHandle);
+        exit(&mut k, t, ErrorCode::InvalidHandle);
         assert_eq!(k.flowcheck.violations_total, 2);
     }
 
@@ -394,11 +370,11 @@ mod tests {
     fn type_confusion_is_flagged_but_references_pass() {
         let (mut k, t, base) = staged();
         stage(&mut k, t, Sys::CondCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         // Using a Cond location through a Mutex entrypoint succeeded:
         // type confusion.
         stage(&mut k, t, Sys::MutexUnlock, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::TypeConfusion {
@@ -408,9 +384,9 @@ mod tests {
         );
         // A live Reference satisfies any use (handle paths chase refs).
         stage(&mut k, t, Sys::RefCreate, base + 0x20);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         stage(&mut k, t, Sys::MutexUnlock, base + 0x20);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(k.flowcheck.violations_total, 1);
     }
 
@@ -419,23 +395,23 @@ mod tests {
         let (mut k, t, _) = staged();
         // Thread blocked while dispatched as cond_wait; its restart
         // closure is {cond_wait, mutex_lock}.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
+        block_as(&mut k, t, Sys::CondWait);
         // Re-entering as mutex_lock is the legal atomic-API rewrite…
         k.threads
             .get_mut(t.0)
             .unwrap()
             .regs
             .set(Reg::Eax, Sys::MutexLock.num());
-        k.flowcheck_entry(t, true);
+        enter(&mut k, t, true);
         assert!(k.flowcheck.violations.is_empty());
         // …but re-entering as sys_null is not.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
+        block_as(&mut k, t, Sys::CondWait);
         k.threads
             .get_mut(t.0)
             .unwrap()
             .regs
             .set(Reg::Eax, Sys::SysNull.num());
-        k.flowcheck_entry(t, true);
+        enter(&mut k, t, true);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::IllegalReentry {
@@ -443,9 +419,9 @@ mod tests {
             }
         );
         // A fresh (non-restarting) entry clears any stale record.
-        k.flowcheck_note_block(t, Some(Sys::CondWait));
-        k.flowcheck_entry(t, false);
-        k.flowcheck_entry(t, true);
+        block_as(&mut k, t, Sys::CondWait);
+        enter(&mut k, t, false);
+        enter(&mut k, t, true);
         assert_eq!(k.flowcheck.violations_total, 1);
     }
 
@@ -453,23 +429,23 @@ mod tests {
     fn move_tracks_source_and_target() {
         let (mut k, t, base) = staged();
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         // Successful move: source becomes absent, target live.
         let th = k.threads.get_mut(t.0).unwrap();
         th.regs.set(Reg::Eax, Sys::MutexMove.num());
         th.regs.set(abi::ARG_HANDLE, base);
         th.regs.set(abi::ARG_VAL, base + 0x40);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert!(k.flowcheck.violations.is_empty());
         // The vacated source can be re-created; the occupied target
         // cannot be moved onto again.
         stage(&mut k, t, Sys::MutexCreate, base);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         let th = k.threads.get_mut(t.0).unwrap();
         th.regs.set(Reg::Eax, Sys::MutexMove.num());
         th.regs.set(abi::ARG_HANDLE, base);
         th.regs.set(abi::ARG_VAL, base + 0x40);
-        k.flowcheck_exit(t, ErrorCode::Success);
+        exit(&mut k, t, ErrorCode::Success);
         assert_eq!(
             k.flowcheck.violations[0].kind,
             ViolationKind::MoveTargetLive(ObjType::Mutex)

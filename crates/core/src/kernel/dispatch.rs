@@ -28,6 +28,7 @@ use fluke_arch::{ProgramId, Reg};
 use crate::config::Preemption;
 use crate::ids::{ObjId, ThreadId};
 use crate::object::ObjData;
+use crate::probe::Probe;
 use crate::thread::{IpcRole, RunState, WaitReason};
 
 use super::ipc::AfterSend;
@@ -101,7 +102,11 @@ handlers! {
     }
     fn h_sys_trace(k, cx) {
         let v = cx.arg(k, ARG_VAL);
-        k.trace_mark(cx.t, v);
+        k.stats.trace_log.push(v);
+        k.probe(Probe::Mark {
+            thread: cx.t,
+            value: v,
+        });
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
     fn h_sys_stats(k, cx) { k.sys_stats(cx) }
@@ -141,9 +146,9 @@ handlers! {
     fn h_ipc_server_send_more(k, cx) { k.sys_ipc_send_more(cx, IpcRole::Server) }
     fn h_ipc_server_disconnect(k, cx) { k.sys_ipc_disconnect(cx, IpcRole::Server) }
     fn h_ipc_server_alert(k, cx) { k.sys_ipc_alert(cx, IpcRole::Server) }
-    fn h_ipc_send_oneway(k, cx) { k.sys_ipc_send_oneway(cx) }
-    fn h_ipc_wait_receive_oneway(k, cx) { k.sys_ipc_receive_oneway(cx, true) }
-    fn h_ipc_receive_oneway(k, cx) { k.sys_ipc_receive_oneway(cx, false) }
+    fn h_ipc_send_oneway(k, cx) { k.sys_ipc_oneway(cx, true, true) }
+    fn h_ipc_wait_receive_oneway(k, cx) { k.sys_ipc_oneway(cx, false, true) }
+    fn h_ipc_receive_oneway(k, cx) { k.sys_ipc_oneway(cx, false, false) }
     fn h_ipc_submit(k, cx) { k.sys_ipc_submit(cx) }
 }
 
@@ -798,7 +803,7 @@ impl Kernel {
         // discarded wholesale — the frame is the complete new truth. Any
         // open request the target carried ends here: the installed frame
         // starts a fresh one at its next kernel entry.
-        self.kspan.on_abort(tid);
+        self.probe(Probe::Abort { thread: tid });
         self.unlink_waiter(tid);
         {
             let th = self
@@ -1262,8 +1267,9 @@ impl Kernel {
                 // "Install an interrupt handler": record the
                 // binding (modeled as a trace entry).
                 0x101 => {
-                    let irq = cx.arg(self, ARG_VAL);
-                    self.trace_mark(t, 0x1000_0000 | irq);
+                    let value = 0x1000_0000 | cx.arg(self, ARG_VAL);
+                    self.stats.trace_log.push(value);
+                    self.probe(Probe::Mark { thread: t, value });
                 }
                 _ => return Err(Self::fail(ErrorCode::InvalidArg)),
             }

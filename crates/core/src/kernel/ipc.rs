@@ -24,10 +24,12 @@ use fluke_arch::Reg;
 use crate::config::{Preemption, PP_CHUNK_BYTES};
 use crate::conn::{ClientEnd, Connection, Dir};
 use crate::ids::{ConnId, ObjId, ThreadId};
+use crate::kprof::Phase;
 use crate::kstat::FaultSide;
-use crate::object::ObjData;
+use crate::object::{ObjData, ObjectTable};
+use crate::probe::Probe;
 use crate::thread::{IpcRole, RunState, WaitReason};
-use crate::trace::TraceEvent;
+use crate::waitq::WaitQueue;
 
 use super::mem::PumpFault;
 use super::{Kernel, SysCtx, SysOutcome, SysResult};
@@ -330,18 +332,26 @@ impl Kernel {
     // The transfer pump.
     // ------------------------------------------------------------------
 
-    /// Available bytes and pointer for an end.
-    fn end_avail(&self, end: XferEnd) -> (u32, u32) {
+    /// Bytes a transfer moves between explicit preemption points: the
+    /// Partial configurations check after every 8KB (Table 4), Full
+    /// preemption finer; `None` without in-kernel preemption.
+    fn preempt_every(&self) -> Option<u32> {
+        match self.cfg.preempt {
+            Preemption::Partial => Some(PP_CHUNK_BYTES),
+            Preemption::Full => Some(FP_CHUNK_BYTES),
+            Preemption::None => None,
+        }
+    }
+
+    /// Bytes an end has left to send or room to receive.
+    fn end_avail(&self, end: XferEnd) -> u32 {
         match end {
-            XferEnd::User(t) => {
-                let r = &self.threads.get(t.0).expect("xfer end").regs;
-                (r.get(ARG_COUNT), 0)
-            }
+            XferEnd::User(t) => self.threads.get(t.0).expect("xfer end").regs.get(ARG_COUNT),
             XferEnd::KernelSrc(c) => match &self.conns.get(c.0).expect("conn").client {
-                ClientEnd::Kernel(km) => ((km.bytes.len() - km.pos) as u32, 0),
-                ClientEnd::Thread(_) => (0, 0),
+                ClientEnd::Kernel(km) => (km.bytes.len() - km.pos) as u32,
+                ClientEnd::Thread(_) => 0,
             },
-            XferEnd::KernelSink(_) => (u32::MAX, 0),
+            XferEnd::KernelSink(_) => u32::MAX,
         }
     }
 
@@ -456,7 +466,7 @@ impl Kernel {
     ) -> PumpOut {
         let mut since_check: u32 = 0;
         loop {
-            let (s_rem, _) = self.end_avail(sender);
+            let s_rem = self.end_avail(sender);
             if s_rem == 0 {
                 if let (Some(c), Some(d)) = (conn, dir) {
                     if let Some(cc) = self.conns.get_mut(c.0) {
@@ -464,10 +474,19 @@ impl Kernel {
                     }
                 }
                 self.stats.ipc_messages += 1;
-                self.ktrace(TraceEvent::IpcMessage { thread: current });
+                // A message between two user threads is a causal edge
+                // between their requests.
+                let flow = match (sender, receiver) {
+                    (XferEnd::User(st), XferEnd::User(rt)) => Some((st, rt)),
+                    _ => None,
+                };
+                self.probe(Probe::IpcMessage {
+                    thread: current,
+                    flow,
+                });
                 return PumpOut::Complete;
             }
-            let (r_rem, _) = self.end_avail(receiver);
+            let r_rem = self.end_avail(receiver);
             if r_rem == 0 {
                 return PumpOut::WindowFull;
             }
@@ -480,14 +499,8 @@ impl Kernel {
             if matches!(receiver, XferEnd::User(_)) {
                 chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
             }
-            match self.cfg.preempt {
-                Preemption::Partial => {
-                    chunk = chunk.min(PP_CHUNK_BYTES - since_check % PP_CHUNK_BYTES)
-                }
-                Preemption::Full => {
-                    chunk = chunk.min(FP_CHUNK_BYTES - since_check % FP_CHUNK_BYTES)
-                }
-                Preemption::None => {}
+            if let Some(every) = self.preempt_every() {
+                chunk = chunk.min(every - since_check % every);
             }
             // Translate both pages, attributing faults to transfer sides.
             let s_loc = match sender {
@@ -521,9 +534,7 @@ impl Kernel {
             self.move_bytes(sender, s_loc, receiver, r_loc, chunk);
             // New bytes moved: the preamble (rollback) phase is over.
             self.progress();
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * chunk as u64);
-            self.kprof.exit();
+            self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
             self.end_advance(sender, true, chunk);
             self.end_advance(receiver, false, chunk);
             // The in-place parameter advance *is* the commit: both ends'
@@ -531,19 +542,15 @@ impl Kernel {
             // transfer more" (paper §4.2).
             self.audit_commit(current);
             self.stats.ipc_bytes += chunk as u64;
-            self.ktrace(TraceEvent::IpcTransfer {
+            self.probe(Probe::IpcTransfer {
                 thread: current,
                 bytes: chunk,
             });
             since_check += chunk;
-            // Explicit preemption points (Table 4: the PP configurations
-            // check after every 8KB on this path; FP checks finer).
-            let check = match self.cfg.preempt {
-                Preemption::Partial => since_check >= PP_CHUNK_BYTES,
-                Preemption::Full => since_check >= FP_CHUNK_BYTES,
-                Preemption::None => false,
-            };
-            if check {
+            if self
+                .preempt_every()
+                .is_some_and(|every| since_check >= every)
+            {
                 since_check = 0;
                 self.charge(self.cost.preempt_check);
                 if self.cur_cpu_mut().resched {
@@ -737,10 +744,7 @@ impl Kernel {
             IpcRole::Client => (Sys::IpcClientSendMore, Sys::IpcServerReceiveMore),
             IpcRole::Server => (Sys::IpcServerSendMore, Sys::IpcClientReceiveMore),
         };
-        if self.trace.enabled {
-            let bytes = self.end_avail(XferEnd::User(t)).0;
-            self.ktrace(TraceEvent::IpcSend { thread: t, bytes });
-        }
+        self.probe(Probe::IpcSend { thread: t });
         self.charge(self.cost.ipc_setup / 2);
         {
             let c = self
@@ -752,25 +756,14 @@ impl Kernel {
         // Identify the receiver end.
         let receiver = {
             let c = self.conns.get(conn.0).expect("conn");
+            let waiting = |rt: ThreadId| {
+                self.blocked_for(rt, WaitReason::IpcReceive(conn))
+                    .then_some(XferEnd::User(rt))
+            };
             match (role, &c.client) {
                 (IpcRole::Server, ClientEnd::Kernel(_)) => Some(XferEnd::KernelSink(conn)),
-                (IpcRole::Server, ClientEnd::Thread(ct)) => {
-                    let waiting = matches!(
-                        self.threads.get(ct.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcReceive(c2))) if c2 == conn
-                    );
-                    waiting.then_some(XferEnd::User(*ct))
-                }
-                (IpcRole::Client, _) => {
-                    let st = c.server;
-                    st.and_then(|st| {
-                        let waiting = matches!(
-                            self.threads.get(st.0).map(|x| x.state),
-                            Some(RunState::Blocked(WaitReason::IpcReceive(c2))) if c2 == conn
-                        );
-                        waiting.then_some(XferEnd::User(st))
-                    })
-                }
+                (IpcRole::Server, ClientEnd::Thread(ct)) => waiting(*ct),
+                (IpcRole::Client, _) => c.server.and_then(waiting),
             }
         };
         let Some(receiver) = receiver else {
@@ -791,10 +784,7 @@ impl Kernel {
             PumpOut::Complete => {
                 // Complete the receiver.
                 match receiver {
-                    XferEnd::User(rt) => {
-                        self.kspan_stitch(t, rt);
-                        self.complete_blocked(rt, ErrorCode::Success)
-                    }
+                    XferEnd::User(rt) => self.complete_blocked(rt, ErrorCode::Success),
                     XferEnd::KernelSink(c) => self.complete_fault(c),
                     XferEnd::KernelSrc(_) => unreachable!(),
                 }
@@ -830,126 +820,80 @@ impl Kernel {
     /// After a send completes for the *current* thread: apply the
     /// continuation encoded in `pr1`.
     fn after_send_transition(&mut self, t: ThreadId, conn: ConnId) -> SysResult {
-        let flags = self.threads.get(t.0).expect("current").regs.pr[PR_IPC_FLAGS];
-        let after = AfterSend::from_flags(flags);
-        let role = self
-            .threads
-            .get(t.0)
-            .and_then(|x| x.ipc.role)
-            .unwrap_or(IpcRole::Client);
-        match after {
-            AfterSend::Complete => Ok(SysOutcome::Done(ErrorCode::Success)),
-            AfterSend::Receive => {
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(
-                    Reg::Eax,
-                    match role {
-                        IpcRole::Client => Sys::IpcClientReceive.num(),
-                        IpcRole::Server => Sys::IpcServerReceive.num(),
-                    },
-                );
-                Ok(SysOutcome::Chain)
-            }
-            AfterSend::WaitNext => {
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerReceive.num());
-                Ok(SysOutcome::Chain)
-            }
-            AfterSend::Disconnect => {
-                self.raw_set_reg(t, Reg::Eax, 0);
-                let th = self.threads.get_mut(t.0).expect("current");
-                th.regs.pr[PR_IPC_FLAGS] = 0;
+        let next = match self.after_send_of(t) {
+            (AfterSend::Complete, _) => return Ok(SysOutcome::Done(ErrorCode::Success)),
+            (AfterSend::Disconnect, _) => {
+                self.threads.get_mut(t.0).expect("current").regs.pr[PR_IPC_FLAGS] = 0;
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(t));
-                Ok(SysOutcome::Done(ErrorCode::Success))
+                return Ok(SysOutcome::Done(ErrorCode::Success));
             }
-            AfterSend::DisconnectThenWait => {
+            (AfterSend::Receive, IpcRole::Client) => Sys::IpcClientReceive,
+            (AfterSend::Receive | AfterSend::WaitNext, _) => Sys::IpcServerReceive,
+            (AfterSend::DisconnectThenWait, _) => {
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(t));
-                let th = self.threads.get_mut(t.0).expect("current");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerWaitReceive.num());
-                Ok(SysOutcome::Chain)
+                Sys::IpcServerWaitReceive
             }
-        }
+        };
+        self.rearm_receive(t, next);
+        Ok(SysOutcome::Chain)
     }
 
     /// After a blocked sender's message is completed by the receiver:
     /// apply the sender's continuation without running it ("continuation
     /// recognition" on behalf of user code).
     fn blocked_sender_transition(&mut self, sender: ThreadId, conn: ConnId) {
-        let flags = self
-            .threads
-            .get(sender.0)
-            .map(|x| x.regs.pr[PR_IPC_FLAGS])
-            .unwrap_or(0);
-        let after = AfterSend::from_flags(flags);
-        let role = self
-            .threads
-            .get(sender.0)
-            .and_then(|x| x.ipc.role)
-            .unwrap_or(IpcRole::Client);
-        match after {
-            AfterSend::Complete => self.complete_blocked(sender, ErrorCode::Success),
-            AfterSend::Receive => {
+        match self.after_send_of(sender) {
+            (AfterSend::Complete, _) => self.complete_blocked(sender, ErrorCode::Success),
+            (after @ (AfterSend::Receive | AfterSend::WaitNext), role) => {
                 // Transition Blocked(IpcSend) → Blocked(IpcReceive): the
-                // sender is now awaiting the reply; its registers fully
-                // describe that wait.
-                if self.kspan.enabled {
-                    let now = self.cur_cpu().cpu.now;
-                    self.kspan
-                        .on_block(sender, WaitReason::IpcReceive(conn), now);
-                }
+                // sender now awaits the reply (or, for a server, the next
+                // request); its registers fully describe that wait.
+                let reason = WaitReason::IpcReceive(conn);
+                self.probe(Probe::Rewait {
+                    thread: sender,
+                    reason,
+                });
+                let next = match (after, role) {
+                    (AfterSend::Receive, IpcRole::Client) => Sys::IpcClientReceiveMore,
+                    _ => Sys::IpcServerReceiveMore,
+                };
+                self.rearm_receive(sender, next);
                 let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(
-                    Reg::Eax,
-                    match role {
-                        IpcRole::Client => Sys::IpcClientReceiveMore.num(),
-                        IpcRole::Server => Sys::IpcServerReceiveMore.num(),
-                    },
-                );
-                th.state = RunState::Blocked(WaitReason::IpcReceive(conn));
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
+                th.state = RunState::Blocked(reason);
+                th.inflight = Some(next);
             }
-            AfterSend::WaitNext => {
-                if self.kspan.enabled {
-                    let now = self.cur_cpu().cpu.now;
-                    self.kspan
-                        .on_block(sender, WaitReason::IpcReceive(conn), now);
-                }
-                let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerReceiveMore.num());
-                th.state = RunState::Blocked(WaitReason::IpcReceive(conn));
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
-            }
-            AfterSend::Disconnect => {
+            (AfterSend::Disconnect, _) => {
                 self.complete_blocked(sender, ErrorCode::Success);
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(sender));
             }
-            AfterSend::DisconnectThenWait => {
+            (AfterSend::DisconnectThenWait, _) => {
                 // Wake the server to go wait for its next request.
-                let th = self.threads.get_mut(sender.0).expect("sender");
-                let window = th.regs.pr[PR_RECV_WINDOW];
-                th.regs.set(ARG_COUNT, window);
-                th.regs.pr[PR_IPC_FLAGS] = 0;
-                th.regs.set(Reg::Eax, Sys::IpcServerWaitReceive.num());
-                th.inflight = Sys::from_u32(th.regs.get(Reg::Eax));
+                self.rearm_receive(sender, Sys::IpcServerWaitReceive);
+                self.threads.get_mut(sender.0).expect("sender").inflight =
+                    Some(Sys::IpcServerWaitReceive);
                 self.unblock(sender);
                 self.disconnect_from(conn, ErrorCode::PeerDisconnected, Some(sender));
             }
         }
+    }
+
+    /// A sender's continuation (`pr1`) and connection role.
+    fn after_send_of(&self, t: ThreadId) -> (AfterSend, IpcRole) {
+        let th = self.threads.get(t.0);
+        let flags = th.map_or(0, |x| x.regs.pr[PR_IPC_FLAGS]);
+        let role = th.and_then(|x| x.ipc.role).unwrap_or(IpcRole::Client);
+        (AfterSend::from_flags(flags), role)
+    }
+
+    /// Point a sender whose message is done at its receive stage `next`:
+    /// the count register takes the staged receive window and the
+    /// continuation flags clear.
+    fn rearm_receive(&mut self, t: ThreadId, next: Sys) {
+        let th = self.threads.get_mut(t.0).expect("sender");
+        let window = th.regs.pr[PR_RECV_WINDOW];
+        th.regs.set(ARG_COUNT, window);
+        th.regs.pr[PR_IPC_FLAGS] = 0;
+        th.regs.set(Reg::Eax, next.num());
     }
 
     // ------------------------------------------------------------------
@@ -978,10 +922,7 @@ impl Kernel {
             IpcRole::Client => (Sys::IpcServerSendMore, Sys::IpcClientReceiveMore),
             IpcRole::Server => (Sys::IpcClientSendMore, Sys::IpcServerReceiveMore),
         };
-        if self.trace.enabled {
-            let window = self.end_avail(XferEnd::User(t)).0;
-            self.ktrace(TraceEvent::IpcReceive { thread: t, window });
-        }
+        self.probe(Probe::IpcReceive { thread: t });
         self.charge(self.cost.ipc_setup / 2);
         // Identify a ready sender.
         let sender = {
@@ -989,24 +930,16 @@ impl Kernel {
                 .conns
                 .get(conn.0)
                 .ok_or(Self::fail(ErrorCode::NotConnected))?;
+            let ready = |st: ThreadId| {
+                (self.blocked_for(st, WaitReason::IpcSend(conn)) && c.open(dir))
+                    .then_some(XferEnd::User(st))
+            };
             match (role, &c.client) {
                 (IpcRole::Server, ClientEnd::Kernel(km)) => {
                     (km.pos < km.bytes.len() || c.open(dir)).then_some(XferEnd::KernelSrc(conn))
                 }
-                (IpcRole::Server, ClientEnd::Thread(ct)) => {
-                    let ready = matches!(
-                        self.threads.get(ct.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcSend(c2))) if c2 == conn
-                    );
-                    (ready && c.open(dir)).then_some(XferEnd::User(*ct))
-                }
-                (IpcRole::Client, _) => c.server.and_then(|st| {
-                    let ready = matches!(
-                        self.threads.get(st.0).map(|x| x.state),
-                        Some(RunState::Blocked(WaitReason::IpcSend(c2))) if c2 == conn
-                    );
-                    (ready && c.open(dir)).then_some(XferEnd::User(st))
-                }),
+                (IpcRole::Server, ClientEnd::Thread(ct)) => ready(*ct),
+                (IpcRole::Client, _) => c.server.and_then(ready),
             }
         };
         let Some(sender) = sender else {
@@ -1025,10 +958,7 @@ impl Kernel {
         match out {
             PumpOut::Complete => {
                 match sender {
-                    XferEnd::User(st) => {
-                        self.kspan_stitch(st, t);
-                        self.blocked_sender_transition(st, conn)
-                    }
+                    XferEnd::User(st) => self.blocked_sender_transition(st, conn),
                     XferEnd::KernelSrc(_) => {}
                     XferEnd::KernelSink(_) => unreachable!(),
                 }
@@ -1149,11 +1079,9 @@ impl Kernel {
         let Some(peer) = peer else {
             return Ok(SysOutcome::Done(ErrorCode::Success));
         };
-        let blocked_on_conn = matches!(
-            self.threads.get(peer.0).map(|x| x.state),
-            Some(RunState::Blocked(WaitReason::IpcSend(c2) | WaitReason::IpcReceive(c2))) if c2 == conn
-        );
-        if blocked_on_conn {
+        if self.blocked_for(peer, WaitReason::IpcSend(conn))
+            || self.blocked_for(peer, WaitReason::IpcReceive(conn))
+        {
             self.complete_blocked(peer, ErrorCode::Interrupted);
         } else if let Some(c) = self.conns.get_mut(conn.0) {
             match role {
@@ -1168,194 +1096,95 @@ impl Kernel {
     // One-way messages (connectionless rendezvous on a port).
     // ------------------------------------------------------------------
 
-    /// `ipc_send_oneway(ebx=port_ref, esi=buf, ecx=count)`.
-    pub(crate) fn sys_ipc_send_oneway(&mut self, cx: &mut SysCtx) -> SysResult {
-        let t = cx.t;
-        let h = cx.arg(self, ARG_HANDLE);
-        let port = self.port_handle(t, h)?;
-        self.charge(self.cost.ipc_setup / 2);
-        self.progress();
-        // Kernel-buffered messages precede this send. Normally the buffer
-        // and the receiver queue are never simultaneously non-empty (every
-        // buffering site flushes, every receiver-enqueue site drains the
-        // buffer first), so this flush is a no-op; it keeps port FIFO
-        // robust rather than implicit.
-        if self.port_has_buffered(port) {
-            self.flush_buffered(t, port);
-        }
-        let receiver = match self.objects.get_mut(port).map(|o| &mut o.data) {
-            Some(ObjData::Port {
-                oneway_receivers, ..
-            }) => oneway_receivers.pop(&mut self.stats.waitq),
-            _ => return Err(Self::fail(ErrorCode::InvalidHandle)),
-        };
-        let Some(rt) = receiver else {
-            let Some(ObjData::Port { oneway_senders, .. }) =
-                self.objects.get_mut(port).map(|o| &mut o.data)
-            else {
-                return Err(Self::fail(ErrorCode::InvalidHandle));
-            };
-            oneway_senders.enqueue(t, &mut self.stats.waitq);
-            cx.set_reg_committed(self, Reg::Eax, Sys::IpcSendOnewayMore.num());
-            return Ok(cx.block(self, WaitReason::OnewaySend(port)));
-        };
-        let out = self.pump(
-            None,
-            None,
-            XferEnd::User(t),
-            XferEnd::User(rt),
-            t,
-            Sys::IpcSendOnewayMore,
-            Sys::IpcWaitReceiveOneway,
-        );
-        match out {
-            PumpOut::Complete => {
-                self.stats.ipc_messages += 1;
-                self.kspan_stitch(t, rt);
-                self.complete_blocked(rt, ErrorCode::Success);
-                Ok(SysOutcome::Done(ErrorCode::Success))
-            }
-            PumpOut::WindowFull => {
-                // One-way: excess bytes are dropped; both sides learn it.
-                self.complete_blocked(rt, ErrorCode::Truncated);
-                Ok(SysOutcome::Done(ErrorCode::Truncated))
-            }
-            PumpOut::BlockedCurrent => {
-                // Re-queue the receiver: the transfer restarts when the
-                // sender's fault is serviced.
-                if let Some(ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_receivers.requeue_front(rt, &mut self.stats.waitq);
-                }
-                Ok(SysOutcome::Block)
-            }
-            PumpOut::RestartCurrent => {
-                if let Some(ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_receivers.requeue_front(rt, &mut self.stats.waitq);
-                }
-                cx.set_reg(self, Reg::Eax, Sys::IpcSendOnewayMore.num());
-                Ok(SysOutcome::Chain)
-            }
-            PumpOut::PeerFaulted => {
-                let Some(ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                else {
-                    return Err(Self::fail(ErrorCode::InvalidHandle));
-                };
-                oneway_senders.enqueue(t, &mut self.stats.waitq);
-                cx.set_reg_committed(self, Reg::Eax, Sys::IpcSendOnewayMore.num());
-                Ok(cx.block(self, WaitReason::OnewaySend(port)))
-            }
-            PumpOut::Preempted => {
-                if let Some(ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_receivers.requeue_front(rt, &mut self.stats.waitq);
-                }
-                Ok(SysOutcome::Preempted)
-            }
-            PumpOut::FatalCurrent => Ok(SysOutcome::Kill("fatal IPC fault")),
-            PumpOut::FatalPeer => Err(Self::fail(ErrorCode::PeerDisconnected)),
-        }
-    }
-
-    /// `ipc_[wait_]receive_oneway(ebx=port, edi=buf, ecx=window)`.
-    pub(crate) fn sys_ipc_receive_oneway(&mut self, cx: &mut SysCtx, wait: bool) -> SysResult {
+    /// Both halves of the one-way rendezvous: `ipc_send_oneway(ebx=
+    /// port_ref, esi=buf, ecx=count)` when `send`, else
+    /// `ipc_[wait_]receive_oneway(ebx=port, edi=buf, ecx=window)`. Pair
+    /// with a peer blocked on the port and pump the message, or wait on
+    /// the port (a receive only if `wait`).
+    pub(crate) fn sys_ipc_oneway(&mut self, cx: &mut SysCtx, send: bool, wait: bool) -> SysResult {
         let t = cx.t;
         let h = cx.arg(self, ARG_HANDLE);
         let port = self.port_handle(t, h)?;
         self.charge(self.cost.ipc_setup / 2);
         self.progress();
         // Kernel-buffered messages (queued by the batched-submission path)
-        // deliver before any rendezvous sender: they were sent first. The
-        // check is free when the buffer is empty, which it always is for
-        // programs that never call `ipc_submit`.
+        // were sent first: a receive delivers the head one, a send flushes
+        // them before its own. The check is free when the buffer is empty,
+        // which it always is for programs that never call `ipc_submit`
+        // (and normally whenever a receiver waits: every buffering site
+        // flushes, every receiver-enqueue site drains the buffer first).
         if self.port_has_buffered(port) {
-            return self.receive_buffered(cx, port);
+            if !send {
+                return self.receive_buffered(cx, port);
+            }
+            self.flush_buffered(t, port);
         }
-        let sender = match self.objects.get_mut(port).map(|o| &mut o.data) {
-            Some(ObjData::Port { oneway_senders, .. }) => oneway_senders.pop(&mut self.stats.waitq),
-            _ => return Err(Self::fail(ErrorCode::InvalidHandle)),
+        let peer = match oneway_queue(&mut self.objects, port, !send) {
+            Some(q) => q.pop(&mut self.stats.waitq),
+            None => return Err(Self::fail(ErrorCode::InvalidHandle)),
         };
-        let Some(st) = sender else {
+        let Some(peer) = peer else {
             if !wait {
                 return Ok(SysOutcome::Done(ErrorCode::WouldBlock));
             }
-            let Some(ObjData::Port {
-                oneway_receivers, ..
-            }) = self.objects.get_mut(port).map(|o| &mut o.data)
-            else {
-                return Err(Self::fail(ErrorCode::InvalidHandle));
-            };
-            oneway_receivers.enqueue(t, &mut self.stats.waitq);
-            cx.set_reg_committed(self, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-            return Ok(cx.block(self, WaitReason::OnewayReceive(port)));
+            return self.oneway_wait(cx, port, send);
         };
+        let (sender, receiver) = if send { (t, peer) } else { (peer, t) };
         let out = self.pump(
             None,
             None,
-            XferEnd::User(st),
-            XferEnd::User(t),
+            XferEnd::User(sender),
+            XferEnd::User(receiver),
             t,
             Sys::IpcSendOnewayMore,
             Sys::IpcWaitReceiveOneway,
         );
         match out {
             PumpOut::Complete => {
-                self.stats.ipc_messages += 1;
-                self.kspan_stitch(st, t);
-                self.complete_blocked(st, ErrorCode::Success);
+                self.complete_blocked(peer, ErrorCode::Success);
                 Ok(SysOutcome::Done(ErrorCode::Success))
             }
             PumpOut::WindowFull => {
-                self.complete_blocked(st, ErrorCode::Truncated);
+                // One-way: excess bytes are dropped; both sides learn it.
+                self.complete_blocked(peer, ErrorCode::Truncated);
                 Ok(SysOutcome::Done(ErrorCode::Truncated))
             }
-            PumpOut::BlockedCurrent => {
-                if let Some(ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_senders.requeue_front(st, &mut self.stats.waitq);
+            PumpOut::BlockedCurrent | PumpOut::RestartCurrent | PumpOut::Preempted => {
+                // The transfer restarts later (the current thread's fault
+                // is serviced, or it runs again): the peer goes back to
+                // the head of its queue.
+                if let Some(q) = oneway_queue(&mut self.objects, port, !send) {
+                    q.requeue_front(peer, &mut self.stats.waitq);
                 }
-                Ok(SysOutcome::Block)
+                Ok(match out {
+                    PumpOut::BlockedCurrent => SysOutcome::Block,
+                    PumpOut::Preempted => SysOutcome::Preempted,
+                    _ => {
+                        cx.set_reg(self, Reg::Eax, oneway_restart(send).num());
+                        SysOutcome::Chain
+                    }
+                })
             }
-            PumpOut::RestartCurrent => {
-                if let Some(ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_senders.requeue_front(st, &mut self.stats.waitq);
-                }
-                cx.set_reg(self, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-                Ok(SysOutcome::Chain)
-            }
-            PumpOut::PeerFaulted => {
-                let Some(ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(port).map(|o| &mut o.data)
-                else {
-                    return Err(Self::fail(ErrorCode::InvalidHandle));
-                };
-                oneway_receivers.enqueue(t, &mut self.stats.waitq);
-                cx.set_reg_committed(self, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-                Ok(cx.block(self, WaitReason::OnewayReceive(port)))
-            }
-            PumpOut::Preempted => {
-                if let Some(ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    oneway_senders.requeue_front(st, &mut self.stats.waitq);
-                }
-                Ok(SysOutcome::Preempted)
-            }
+            PumpOut::PeerFaulted => self.oneway_wait(cx, port, send),
             PumpOut::FatalCurrent => Ok(SysOutcome::Kill("fatal IPC fault")),
             PumpOut::FatalPeer => Err(Self::fail(ErrorCode::PeerDisconnected)),
         }
+    }
+
+    /// Wait on `port` at the one-way restart point, on the senders' queue
+    /// when `send`, else the receivers'.
+    fn oneway_wait(&mut self, cx: &mut SysCtx, port: ObjId, send: bool) -> SysResult {
+        let Some(q) = oneway_queue(&mut self.objects, port, send) else {
+            return Err(Self::fail(ErrorCode::InvalidHandle));
+        };
+        q.enqueue(cx.t, &mut self.stats.waitq);
+        cx.set_reg_committed(self, Reg::Eax, oneway_restart(send).num());
+        let reason = if send {
+            WaitReason::OnewaySend(port)
+        } else {
+            WaitReason::OnewayReceive(port)
+        };
+        Ok(cx.block(self, reason))
     }
 
     // ------------------------------------------------------------------
@@ -1412,14 +1241,8 @@ impl Kernel {
             let mut chunk = (bytes.len() - pos) as u32;
             chunk = chunk.min(window);
             chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
-            match self.cfg.preempt {
-                Preemption::Partial => {
-                    chunk = chunk.min(PP_CHUNK_BYTES - since_check % PP_CHUNK_BYTES)
-                }
-                Preemption::Full => {
-                    chunk = chunk.min(FP_CHUNK_BYTES - since_check % FP_CHUNK_BYTES)
-                }
-                Preemption::None => {}
+            if let Some(every) = self.preempt_every() {
+                chunk = chunk.min(every - since_check % every);
             }
             let space = match self.threads.get(t.0).and_then(|x| x.space) {
                 Some(s) => s,
@@ -1449,24 +1272,20 @@ impl Kernel {
             self.phys
                 .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
             self.progress();
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * chunk as u64);
-            self.kprof.exit();
+            self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
             self.end_advance(XferEnd::User(t), false, chunk);
             pos += chunk as usize;
             self.audit_commit(t);
             self.stats.ipc_bytes += chunk as u64;
-            self.ktrace(TraceEvent::IpcTransfer {
+            self.probe(Probe::IpcTransfer {
                 thread: t,
                 bytes: chunk,
             });
             since_check += chunk;
-            let check = match self.cfg.preempt {
-                Preemption::Partial => since_check >= PP_CHUNK_BYTES,
-                Preemption::Full => since_check >= FP_CHUNK_BYTES,
-                Preemption::None => false,
-            };
-            if check {
+            if self
+                .preempt_every()
+                .is_some_and(|every| since_check >= every)
+            {
                 since_check = 0;
                 self.charge(self.cost.preempt_check);
                 if self.cur_cpu_mut().resched {
@@ -1480,7 +1299,10 @@ impl Kernel {
         }
         self.pop_buffered(port);
         self.stats.ipc_messages += 1;
-        self.ktrace(TraceEvent::IpcMessage { thread: t });
+        self.probe(Probe::IpcMessage {
+            thread: t,
+            flow: None,
+        });
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
 
@@ -1491,5 +1313,35 @@ impl Kernel {
         {
             buffered.pop_front();
         }
+    }
+}
+
+/// A port's one-way senders' queue (`senders`) or receivers' queue.
+pub(super) fn oneway_queue(
+    objects: &mut ObjectTable,
+    port: ObjId,
+    senders: bool,
+) -> Option<&mut WaitQueue<ThreadId>> {
+    match objects.get_mut(port).map(|o| &mut o.data) {
+        Some(ObjData::Port {
+            oneway_senders,
+            oneway_receivers,
+            ..
+        }) => Some(if senders {
+            oneway_senders
+        } else {
+            oneway_receivers
+        }),
+        _ => None,
+    }
+}
+
+/// The entrypoint a one-way sender (`send`) or receiver waits and
+/// restarts as.
+fn oneway_restart(send: bool) -> Sys {
+    if send {
+        Sys::IpcSendOnewayMore
+    } else {
+        Sys::IpcWaitReceiveOneway
     }
 }

@@ -13,12 +13,13 @@ use fluke_api::ErrorCode;
 
 use crate::conn::{Connection, KernelMsg};
 use crate::ids::{ConnId, ObjId, SpaceId, ThreadId};
+use crate::kprof::Phase;
 use crate::kstat::{FaultKind, FaultRecord, FaultSide};
 use crate::object::ObjData;
 use crate::phys::FrameId;
+use crate::probe::Probe;
 use crate::space::Space;
 use crate::thread::WaitReason;
-use crate::trace::TraceEvent;
 
 use super::{Kernel, SysOutcome, SysResult};
 
@@ -182,9 +183,7 @@ impl Kernel {
                     } else {
                         0
                     };
-                self.kprof.enter(crate::kprof::Phase::MemFill);
-                self.charge(cost);
-                self.kprof.exit();
+                self.charge_in(Phase::MemFill, cost);
                 if let Some(s) = self.spaces.get_mut(space.0) {
                     s.map_page(addr, frame, writable);
                 }
@@ -197,7 +196,7 @@ impl Kernel {
                     during_ipc,
                     at: self.now(),
                 });
-                self.ktrace(TraceEvent::SoftFault {
+                self.probe(Probe::SoftFault {
                     thread: t,
                     addr,
                     remedy: cost,
@@ -255,9 +254,7 @@ impl Kernel {
         } else {
             0
         };
-        self.kprof.enter(crate::kprof::Phase::FaultIpc);
-        self.charge(self.cost.hard_fault_kernel + extra);
-        self.kprof.exit();
+        self.charge_in(Phase::FaultIpc, self.cost.hard_fault_kernel + extra);
         let self_token = match self.objects.get(region).map(|o| &o.data) {
             Some(ObjData::Region { self_token, .. }) => *self_token,
             _ => 0,
@@ -305,7 +302,7 @@ impl Kernel {
             None
         };
         th.kstack_retained = false;
-        self.ktrace(TraceEvent::HardFault { thread: t, offset });
+        self.probe(Probe::HardFault { thread: t, offset });
     }
 
     /// Called when the keeper replies to (or disconnects) an exception IPC:
@@ -324,15 +321,11 @@ impl Kernel {
                 rec.remedy_cycles = now.saturating_sub(raised_at);
             }
         }
-        self.ktrace(TraceEvent::HardFaultDone {
+        self.probe(Probe::HardFaultDone {
             thread: t,
             remedy: now.saturating_sub(raised_at),
         });
-        let still_waiting = matches!(
-            self.threads.get(t.0).map(|x| x.state),
-            Some(crate::thread::RunState::Blocked(WaitReason::PagerReply(c2))) if c2 == conn
-        );
-        if still_waiting {
+        if self.blocked_for(t, WaitReason::PagerReply(conn)) {
             self.unblock(t);
         }
     }
@@ -468,9 +461,7 @@ impl Kernel {
                         } else {
                             0
                         };
-                    self.kprof.enter(crate::kprof::Phase::MemFill);
-                    self.charge(cost);
-                    self.kprof.exit();
+                    self.charge_in(Phase::MemFill, cost);
                     if let Some(s) = self.spaces.get_mut(space.0) {
                         s.map_page(addr, frame, writable);
                     }
@@ -483,7 +474,7 @@ impl Kernel {
                         during_ipc: true,
                         at: self.now(),
                     });
-                    self.ktrace(TraceEvent::SoftFault {
+                    self.probe(Probe::SoftFault {
                         thread: current,
                         addr,
                         remedy: cost,

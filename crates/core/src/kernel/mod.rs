@@ -41,17 +41,18 @@ use fluke_arch::{Cpu, Program, ProgramId, Trap, UserRegs};
 use crate::config::{Config, ConfigError, ExecModel};
 use crate::conn::Connection;
 use crate::events::{EventKind, EventQueue};
-use crate::ids::{Arena, SpaceId, ThreadId};
+use crate::ids::{Arena, ObjId, SpaceId, ThreadId};
 use crate::kfault::Kfault;
-use crate::kprof::Kprof;
+use crate::kprof::{Kprof, Phase};
 use crate::kspan::Kspan;
 use crate::kstat::Stats;
-use crate::object::ObjectTable;
+use crate::object::{ObjData, ObjectTable};
 use crate::phys::PhysMem;
+use crate::probe::Probe;
 use crate::sched::{ClockIndex, PerCpuQueues};
 use crate::space::Space;
 use crate::thread::{NativeBody, RunState, Thread, WaitReason};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 
 use locktable::LockTable;
 pub use mem::SpaceMemAdapter;
@@ -135,7 +136,7 @@ impl LockKey {
     /// (`kernel.contention.<object>.*`). Run-queue waits are excluded —
     /// they have their own first-class counters
     /// (`kernel.contention.runq.*`).
-    fn class(self) -> &'static str {
+    pub(crate) fn class(self) -> &'static str {
         match self {
             LockKey::Sched => "sched",
             LockKey::RunQueue(_) => "runq",
@@ -196,7 +197,8 @@ pub struct Kernel {
     /// Run statistics (every table is derived from these).
     pub stats: Stats,
     /// The `ktrace` flight recorder (disabled and empty unless
-    /// `cfg.trace.enabled`).
+    /// `cfg.trace.enabled`). It, `kprof`, `kspan` and `flowcheck` are the
+    /// consumers of the probe stream (`crate::probe`).
     pub trace: Tracer,
     /// The `kprof` cycle-attribution profiler (inert unless `cfg.kprof`).
     pub kprof: Kprof,
@@ -220,8 +222,8 @@ pub struct Kernel {
     /// zero-cost — otherwise). Host-side state, never part of a snapshot.
     pub(crate) krec: Option<crate::krec::Krec>,
     /// The `flowcheck` syscall-flow integrity checker (enabled by
-    /// `cfg.flowcheck`; inert — one branch per completion — otherwise).
-    /// Host-side state, never part of a snapshot.
+    /// `cfg.flowcheck`; inert otherwise). Host-side state, never part of
+    /// a snapshot.
     pub flowcheck: crate::flowcheck::Flowcheck,
 }
 
@@ -275,15 +277,7 @@ impl Kernel {
             events: EventQueue::new(),
             stats: Stats::default(),
             trace,
-            kprof: {
-                let mut kprof = Kprof::new(cfg_kprof);
-                if cfg_kspan {
-                    // kspan labels per-request charges by phase path even
-                    // when full kprof attribution is off.
-                    kprof.enable_path_tracking();
-                }
-                kprof
-            },
+            kprof: Kprof::new(cfg_kprof),
             kspan: Kspan::new(cfg_kspan),
             kfault: cfg_kfault.map(Kfault::new),
             dispatch_rollback: None,
@@ -305,24 +299,6 @@ impl Kernel {
     /// ([`Kprof::total`] — the sum-exactness invariant).
     pub fn total_cpu_cycles(&self) -> Cycles {
         self.cpus.iter().map(|c| c.cpu.now).sum()
-    }
-
-    /// Record a `ktrace` event on the acting CPU at the current simulated
-    /// time. A single predictable branch when tracing is off.
-    #[inline]
-    pub(crate) fn ktrace(&mut self, event: TraceEvent) {
-        if self.trace.enabled {
-            let at = self.cpus[self.active].cpu.now;
-            self.trace.emit(self.active, at, event);
-        }
-    }
-
-    /// Log a value through the `sys_trace` debug channel: the legacy
-    /// `Vec<u32>` view in [`Stats::trace_log`] plus a structured
-    /// [`TraceEvent::Mark`].
-    pub(crate) fn trace_mark(&mut self, thread: ThreadId, value: u32) {
-        self.stats.trace_log.push(value);
-        self.ktrace(TraceEvent::Mark { thread, value });
     }
 
     /// True if the kernel runs the interrupt execution model.
@@ -350,9 +326,9 @@ impl Kernel {
             let c = &mut self.cpus[i].cpu;
             let d = at.saturating_sub(c.now);
             self.stats.idle_cycles += d;
-            self.kprof.attr_idle(d);
             c.now = c.now.max(at);
             self.cpu_index.unpark(i, c.now);
+            self.probe(Probe::Idle { cycles: d });
         }
     }
 
@@ -376,7 +352,7 @@ impl Kernel {
     fn lock_overhead(&mut self, c: Cycles) {
         self.stats.klock_cycles += c;
         self.stats.kernel_cycles += c;
-        self.kprof.attr_lock(c);
+        self.probe(Probe::LockCost { cycles: c });
         self.cur_cpu_mut().cpu.now += c;
     }
 
@@ -408,14 +384,11 @@ impl Kernel {
             self.stats.klock_cycles += wait;
             self.stats.klock_wait_cycles += wait;
             self.stats.kernel_cycles += wait;
-            self.kprof.attr_lock(wait);
             if let LockKey::RunQueue(_) = key {
                 self.stats.runq_wait_cycles += wait;
                 self.stats.runq_waits += 1;
-            } else if self.kspan.enabled {
-                let cur = self.cur_cpu().current;
-                self.kspan.on_lock_wait(cur, key.class(), wait);
             }
+            self.probe(Probe::LockWait { key, cycles: wait });
             self.cur_cpu_mut().cpu.now += wait;
         }
     }
@@ -611,7 +584,7 @@ impl Kernel {
         }
         let acks = ack * remotes;
         self.stats.kernel_cycles += acks;
-        self.kprof.attr_kernel(acks, false, 0);
+        self.probe(Probe::Remote { cycles: acks });
         self.stats.tlb_shootdown_ipis += remotes;
         let sends = self.cost.tlb_shootdown_ipi * remotes;
         self.stats.tlb_shootdown_cycles += sends + acks;
@@ -1117,6 +1090,17 @@ impl Kernel {
     /// passes over (their wakeups may set the pending-reschedule flag,
     /// which each preemption configuration consults at its own points).
     pub(crate) fn charge(&mut self, c: Cycles) {
+        self.charge_to(None, c);
+    }
+
+    /// [`Kernel::charge`] in kernel phase `phase` (the phase the
+    /// `kprof`/`kspan` consumers attribute it to, under `dispatch` while a
+    /// handler runs).
+    pub(crate) fn charge_in(&mut self, phase: Phase, c: Cycles) {
+        self.charge_to(Some(phase), c);
+    }
+
+    fn charge_to(&mut self, phase: Option<Phase>, c: Cycles) {
         if self.dispatch_suppress {
             return;
         }
@@ -1135,19 +1119,13 @@ impl Kernel {
         }
         self.cur_cpu_mut().cpu.now += c;
         self.stats.kernel_cycles += c;
-        self.kprof
-            .attr_kernel(c - lock_extra, self.rollback_active, lock_extra);
-        if self.kspan.enabled {
-            if let Some(t) = self.cur_cpu().current {
-                let path = self.kprof.current_code(self.rollback_active);
-                self.kspan.on_charge(t, path, c - lock_extra, lock_extra);
-            }
-        }
+        self.probe(Probe::Charge {
+            cycles: c,
+            lock_extra,
+            phase,
+        });
         if self.rollback_active {
             self.stats.rollback_cycles += c;
-            if self.trace.enabled {
-                self.trace.pending_rollback += c;
-            }
             if let Some(rec) = self.dispatch_rollback {
                 self.stats.fault_records[rec].rollback_cycles += c;
             }
@@ -1158,11 +1136,8 @@ impl Kernel {
     /// Mark the point in a handler where *new* work begins: preamble
     /// re-execution (rollback) accounting stops here.
     pub(crate) fn progress(&mut self) {
-        if self.trace.enabled && self.trace.pending_rollback > 0 {
-            let cycles = std::mem::take(&mut self.trace.pending_rollback);
-            if let Some(t) = self.cur_cpu().current {
-                self.ktrace(TraceEvent::Rollback { thread: t, cycles });
-            }
+        if self.rollback_active {
+            self.probe(Probe::Rollback);
         }
         self.rollback_active = false;
         self.dispatch_rollback = None;
@@ -1177,9 +1152,7 @@ impl Kernel {
         if self.cfg.preempt == crate::config::Preemption::Full {
             let c = self.cost.klock_acquire + self.cost.klock_release;
             self.stats.klock_cycles += c;
-            self.kprof.lock_begin();
-            self.charge(c);
-            self.kprof.lock_end();
+            self.charge_in(Phase::Lock, c);
         }
     }
 
@@ -1248,7 +1221,7 @@ impl Kernel {
             }
             return;
         }
-        self.kspan.on_runnable(t, at);
+        self.probe(Probe::Runnable { thread: t, at });
         let th = self.threads.get_mut(t.0).expect("checked above");
         th.state = RunState::Ready;
         let prio = th.priority;
@@ -1256,19 +1229,25 @@ impl Kernel {
         self.note_wake_priority(prio);
     }
 
+    /// Whether `t` is blocked for exactly `reason`.
+    pub(crate) fn blocked_for(&self, t: ThreadId, reason: WaitReason) -> bool {
+        matches!(self.threads.get(t.0), Some(th) if th.state == RunState::Blocked(reason))
+    }
+
     /// Make an (already unlinked) blocked thread runnable.
     pub(crate) fn unblock(&mut self, t: ThreadId) {
         let now = self.cur_cpu_mut().cpu.now;
-        let Some(th) = self.threads.get_mut(t.0) else {
+        let Some(th) = self.threads.get(t.0) else {
             return;
         };
         debug_assert!(th.is_blocked(), "unblock of non-blocked {t}");
-        self.kspan.on_runnable(t, now);
+        self.probe(Probe::Runnable { thread: t, at: now });
+        let th = self.threads.get_mut(t.0).expect("checked above");
         th.state = RunState::Ready;
         th.woken_at = now;
         let prio = th.priority;
         self.sched_push(t, prio);
-        self.ktrace(TraceEvent::Wake { thread: t });
+        self.probe(Probe::Wake { thread: t });
         self.kick_parked(now);
         self.note_wake_priority(prio);
     }
@@ -1311,10 +1290,6 @@ impl Kernel {
     /// brought its registers to a clean restart point and enqueued it on
     /// the appropriate wait queue.
     pub(crate) fn block_current(&mut self, t: ThreadId, reason: WaitReason) -> SysOutcome {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_block(t, reason, now);
-        }
         let th = self.threads.get_mut(t.0).expect("current thread");
         th.state = RunState::Blocked(reason);
         th.inflight = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax));
@@ -1323,7 +1298,7 @@ impl Kernel {
         // block (paper §5.1), so nothing else is saved.
         th.kstack_retained = false;
         self.cur_cpu_mut().current = None;
-        self.ktrace(TraceEvent::Block { thread: t });
+        self.probe(Probe::Block { thread: t, reason });
         self.audit_block_point(t, false);
         SysOutcome::Block
     }
@@ -1333,10 +1308,10 @@ impl Kernel {
     /// the next dispatch skips the re-entry preamble; under the interrupt
     /// model it restarts from its register continuation.
     pub(crate) fn preempt_current_in_kernel(&mut self, t: ThreadId) -> SysOutcome {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_runnable(t, now);
-        }
+        self.probe(Probe::Runnable {
+            thread: t,
+            at: self.now(),
+        });
         let retain = self.cfg.model == ExecModel::Process;
         let th = self.threads.get_mut(t.0).expect("current thread");
         th.state = RunState::Ready;
@@ -1347,7 +1322,7 @@ impl Kernel {
         self.cur_cpu_mut().current = None;
         self.cur_cpu_mut().resched = false;
         self.stats.kernel_preemptions += 1;
-        self.ktrace(TraceEvent::KernelPreempt { thread: t });
+        self.probe(Probe::KernelPreempt { thread: t });
         self.audit_block_point(t, true);
         SysOutcome::Preempted
     }
@@ -1358,30 +1333,21 @@ impl Kernel {
     /// kernel finishes the suspended computation by mutating its explicit
     /// state without ever switching to it.
     pub(crate) fn complete_blocked(&mut self, t: ThreadId, code: ErrorCode) {
-        if self.kspan.enabled {
-            // Close the span before the wake below: the request ends
-            // here, not at the thread's next dispatch.
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_close(t, now);
-        }
         // The registers still hold the completed entrypoint and its
-        // arguments here — exactly what the flow checker needs.
-        self.flowcheck_exit(t, code);
+        // arguments here. The request ends now, not at the thread's next
+        // dispatch.
+        self.probe(Probe::Exit {
+            thread: t,
+            code,
+            closes: true,
+        });
         let Some(th) = self.threads.get_mut(t.0) else {
             return;
         };
-        // Read the class of the completed entrypoint before the result
-        // code overwrites `eax`.
-        let class = Sys::from_u32(th.regs.get(fluke_arch::Reg::Eax)).map(|s| s.class());
         th.regs.set(fluke_arch::Reg::Eax, code as u32);
         th.regs.eip += 1;
         th.inflight = None;
         th.open_fault = None;
-        self.ktrace(TraceEvent::SyscallExit {
-            thread: t,
-            code: code as u32,
-            class,
-        });
         self.unblock(t);
     }
 
@@ -1389,81 +1355,46 @@ impl Kernel {
     /// Its registers remain a complete continuation, so after unlinking it
     /// can be woken (restarting the call) or have new state installed.
     pub(crate) fn unlink_waiter(&mut self, t: ThreadId) {
-        let Some(th) = self.threads.get(t.0) else {
+        let Some(RunState::Blocked(reason)) = self.threads.get(t.0).map(|th| th.state) else {
             return;
         };
-        let RunState::Blocked(reason) = th.state else {
-            return;
-        };
-        match reason {
-            WaitReason::Mutex(o) => {
-                if let Some(crate::object::ObjData::Mutex { waiters, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    waiters.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Cond(o) => {
-                if let Some(crate::object::ObjData::Cond { waiters }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    waiters.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::PortWait(o) => {
-                if let Some(crate::object::ObjData::Port { server_q, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    server_q.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::PsetWait(o) => {
-                if let Some(crate::object::ObjData::Pset { server_q, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    server_q.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::OnewaySend(o) => {
-                if let Some(crate::object::ObjData::Port { oneway_senders, .. }) =
-                    self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    oneway_senders.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::OnewayReceive(o) => {
-                if let Some(crate::object::ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(o).map(|ob| &mut ob.data)
-                {
-                    oneway_receivers.cancel(t, &mut self.stats.waitq);
-                }
-            }
+        fn obj(objects: &mut ObjectTable, o: ObjId) -> Option<&mut ObjData> {
+            objects.get_mut(o).map(|ob| &mut ob.data)
+        }
+        let q = match reason {
+            WaitReason::Mutex(o) => match obj(&mut self.objects, o) {
+                Some(ObjData::Mutex { waiters, .. }) => Some(waiters),
+                _ => None,
+            },
+            WaitReason::Cond(o) => match obj(&mut self.objects, o) {
+                Some(ObjData::Cond { waiters }) => Some(waiters),
+                _ => None,
+            },
+            WaitReason::PortWait(o) => match obj(&mut self.objects, o) {
+                Some(ObjData::Port { server_q, .. }) => Some(server_q),
+                _ => None,
+            },
+            WaitReason::PsetWait(o) => match obj(&mut self.objects, o) {
+                Some(ObjData::Pset { server_q, .. }) => Some(server_q),
+                _ => None,
+            },
+            WaitReason::OnewaySend(o) => ipc::oneway_queue(&mut self.objects, o, true),
+            WaitReason::OnewayReceive(o) => ipc::oneway_queue(&mut self.objects, o, false),
+            WaitReason::Join(target) => self.threads.get_mut(target.0).map(|x| &mut x.joiners),
+            WaitReason::Donate(d) => self.threads.get_mut(d.0).map(|x| &mut x.donors),
+            WaitReason::SpaceIdle(sid) => self.spaces.get_mut(sid.0).map(|x| &mut x.idle_waiters),
+            // Connection-linked waits: the connection state is consistent
+            // with a restart; nothing to unlink. (A pending unaccepted
+            // connect stays queued on the port; the restart finds it
+            // again.)
             WaitReason::IpcConnect(_)
             | WaitReason::IpcSend(_)
             | WaitReason::IpcReceive(_)
-            | WaitReason::PagerReply(_) => {
-                // Connection-linked waits: the connection state is
-                // consistent with a restart; nothing to unlink. (A pending
-                // unaccepted connect stays queued on the port; the restart
-                // finds it again.)
-            }
-            WaitReason::Join(target) => {
-                if let Some(tt) = self.threads.get_mut(target.0) {
-                    tt.joiners.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::SpaceIdle(sid) => {
-                if let Some(sp) = self.spaces.get_mut(sid.0) {
-                    sp.idle_waiters.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Donate(d) => {
-                if let Some(tt) = self.threads.get_mut(d.0) {
-                    tt.donors.cancel(t, &mut self.stats.waitq);
-                }
-            }
-            WaitReason::Sleep => {}
+            | WaitReason::PagerReply(_)
+            | WaitReason::Sleep => None,
+        };
+        if let Some(q) = q {
+            q.cancel(t, &mut self.stats.waitq);
         }
     }
 
@@ -1476,7 +1407,6 @@ impl Kernel {
         if th.is_halted() {
             return;
         }
-        self.kspan.on_abort(t);
         if th.is_blocked() {
             self.unlink_waiter(t);
         }
@@ -1492,7 +1422,7 @@ impl Kernel {
         th.ipc.role = None;
         let space = th.space;
         self.clear_running_cpu(t);
-        self.ktrace(TraceEvent::Halt { thread: t });
+        self.probe(Probe::Halt { thread: t });
         self.stats.kmem_delta(-(self.cfg.per_thread_kmem() as i64));
         for j in joiners.drain(&mut self.stats.waitq) {
             self.complete_blocked(j, ErrorCode::Success);
@@ -1532,17 +1462,5 @@ impl Kernel {
     /// Destroy a thread for a fatal error.
     pub(crate) fn kill_thread(&mut self, t: ThreadId, _reason: &'static str) {
         self.halt_thread(t);
-    }
-
-    /// Record a `kspan` causal flow edge for a completed IPC message
-    /// transfer from `from`'s span to `to`'s (adopting the receiver into
-    /// the sender's request where the stitch rule allows). A single
-    /// predictable branch when `kspan` is off.
-    #[inline]
-    pub(crate) fn kspan_stitch(&mut self, from: ThreadId, to: ThreadId) {
-        if self.kspan.enabled {
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.stitch(from, to, now);
-        }
     }
 }

@@ -13,8 +13,8 @@ use fluke_arch::{Reg, StepOutcome, Trap};
 use crate::ids::ThreadId;
 use crate::kprof::Phase;
 use crate::kstat::FaultSide;
+use crate::probe::Probe;
 use crate::thread::{Body, NativeAction, RunState};
-use crate::trace::TraceEvent;
 
 use super::mem::SpaceMemAdapter;
 use super::{Kernel, LockKey, SysOutcome};
@@ -205,16 +205,16 @@ impl Kernel {
         self.cur_cpu_mut().resched = false;
         match top {
             Some(p) if p >= cur_prio => {
-                if self.kspan.enabled {
-                    let now = self.cur_cpu().cpu.now;
-                    self.kspan.on_runnable(cur, now);
-                }
+                self.probe(Probe::Runnable {
+                    thread: cur,
+                    at: self.now(),
+                });
                 let th = self.threads.get_mut(cur.0).expect("current");
                 th.state = RunState::Ready;
                 self.sched_push(cur, cur_prio);
                 self.cur_cpu_mut().current = None;
                 self.stats.user_preemptions += 1;
-                self.ktrace(TraceEvent::UserPreempt { thread: cur });
+                self.probe(Probe::UserPreempt { thread: cur });
             }
             _ => {
                 self.cur_cpu_mut().slice_end = self.cur_cpu_mut().cpu.now + self.cfg.timeslice;
@@ -234,10 +234,6 @@ impl Kernel {
             self.stats.space_switches += 1;
         }
         self.stats.ctx_switches += 1;
-        self.ktrace(TraceEvent::CtxSwitch {
-            thread: t,
-            space_switch,
-        });
         if let Some(s) = space {
             self.cur_cpu_mut().last_space = Some(s);
         }
@@ -253,15 +249,11 @@ impl Kernel {
         // (serviced inside `charge`) must set a fresh pending reschedule,
         // not be wiped by it.
         self.cur_cpu_mut().resched = false;
-        if self.kspan.enabled {
-            // On-CPU starts here so the context-switch charge lands in the
-            // dispatched request's on-CPU bucket, mirroring kprof.
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_run(t, now);
-        }
-        self.kprof.enter(Phase::Sched);
-        self.charge(cost);
-        self.kprof.exit();
+        self.probe(Probe::Switch {
+            thread: t,
+            space_switch,
+        });
+        self.charge_in(Phase::Sched, cost);
         self.cur_cpu_mut().slice_end = self.cur_cpu_mut().cpu.now + self.cfg.timeslice;
         // Consume a pending timer-wake mark: the elapsed span is one
         // event-raised → dispatch preemption-latency observation.
@@ -269,9 +261,9 @@ impl Kernel {
             let th = self.threads.get_mut(t.0).expect("ready thread");
             std::mem::take(&mut th.wake_pending)
         };
-        if self.kprof.enabled && wake_pending > 0 {
-            let lat = self.cur_cpu().cpu.now.saturating_sub(wake_pending);
-            self.kprof.record_latency(lat);
+        if wake_pending > 0 {
+            let cycles = self.now().saturating_sub(wake_pending);
+            self.probe(Probe::Latency { cycles });
         }
     }
 
@@ -318,7 +310,7 @@ impl Kernel {
                 }
             }
         };
-        let trap = {
+        let (trap, used) = {
             let th = self.threads.get_mut(cur.0).expect("current");
             let Some(space) = self.spaces.get_mut(sid.0) else {
                 self.kill_thread(cur, "space destroyed");
@@ -338,13 +330,15 @@ impl Kernel {
             let used = self.cpus[active].cpu.now - before;
             th.user_cycles += used;
             self.stats.user_cycles += used;
-            self.kprof.attr_user(used);
-            self.kspan.on_user(cur, used);
             match out {
-                StepOutcome::Trapped(t) => Some(t),
-                StepOutcome::DeadlineReached => None,
+                StepOutcome::Trapped(t) => (Some(t), used),
+                StepOutcome::DeadlineReached => (None, used),
             }
         };
+        self.probe(Probe::User {
+            thread: cur,
+            cycles: used,
+        });
         if let Some(trap) = trap {
             // Kernel entry locks the object class the handler will touch
             // (the whole kernel under `cfg.big_lock`). The key is
@@ -430,7 +424,6 @@ impl Kernel {
             r
         };
         let restarting = self.threads.get(cur.0).and_then(|t| t.inflight).is_some();
-        self.flowcheck_entry(cur, restarting);
         if retained {
             self.dispatch_suppress = true;
         }
@@ -439,34 +432,13 @@ impl Kernel {
             self.rollback_active = true;
             self.dispatch_rollback = self.threads.get(cur.0).and_then(|t| t.open_fault);
         }
-        if self.kspan.enabled {
-            // A restarted entrypoint continues the open request; `on_enter`
-            // only opens a span when none is active for the thread.
-            let now = self.cur_cpu().cpu.now;
-            let sys = self.threads.get(cur.0).expect("current").regs.get(Reg::Eax);
-            let class = Sys::from_u32(sys).map(|s| s.name()).unwrap_or("invalid");
-            self.kspan.on_enter(cur, class, now);
-        }
-        if self.trace.enabled {
-            let sys = self.threads.get(cur.0).expect("current").regs.get(Reg::Eax);
-            let class = Sys::from_u32(sys).map(|s| s.class());
-            self.ktrace(if restarting {
-                TraceEvent::SyscallRestart {
-                    thread: cur,
-                    sys,
-                    class,
-                }
-            } else {
-                TraceEvent::SyscallEnter {
-                    thread: cur,
-                    sys,
-                    class,
-                }
-            });
-        }
-        self.kprof.enter(Phase::Entry);
-        self.charge(self.cost.entry_cost(interrupt));
-        self.kprof.exit();
+        // A restarted entrypoint continues the open request: kspan opens
+        // a span only when none is active for the thread.
+        self.probe(Probe::Enter {
+            thread: cur,
+            restarting,
+        });
+        self.charge_in(Phase::Entry, self.cost.entry_cost(interrupt));
         let mut chained = false;
         loop {
             let eax = self.threads.get(cur.0).expect("current").regs.get(Reg::Eax);
@@ -501,9 +473,7 @@ impl Kernel {
                 // entrypoint starts from its own committed registers.
                 let mut cx = super::SysCtx { t: cur, sys };
                 self.audit_begin(cur, sys);
-                self.kprof.enter(Phase::Dispatch);
                 let r = self.dispatch_sys(&mut cx);
-                self.kprof.exit();
                 self.audit_end();
                 r.unwrap_or_else(|o| o)
             };
@@ -541,33 +511,23 @@ impl Kernel {
     /// preemption (the NP configurations deliver timer interrupts taken in
     /// kernel mode here, at kernel exit).
     fn finish_syscall(&mut self, cur: ThreadId, code: ErrorCode, interrupt_model: bool) {
-        // The entrypoint (and thus its class) is still in `eax` here; the
-        // result code overwrites it below.
-        self.flowcheck_exit(cur, code);
-        let class = {
-            let th = self.threads.get_mut(cur.0).expect("current");
-            let class = Sys::from_u32(th.regs.get(Reg::Eax)).map(|s| s.class());
-            th.regs.set(Reg::Eax, code as u32);
-            th.regs.eip += 1;
-            th.inflight = None;
-            th.open_fault = None;
-            class
-        };
-        self.ktrace(TraceEvent::SyscallExit {
+        // The entrypoint is still in `eax` here; the result code
+        // overwrites it below.
+        self.probe(Probe::Exit {
             thread: cur,
-            code: code as u32,
-            class,
+            code,
+            closes: false,
         });
+        let th = self.threads.get_mut(cur.0).expect("current");
+        th.regs.set(Reg::Eax, code as u32);
+        th.regs.eip += 1;
+        th.inflight = None;
+        th.open_fault = None;
         self.progress();
-        self.kprof.enter(Phase::Exit);
-        self.charge(self.cost.exit_cost(interrupt_model));
-        self.kprof.exit();
-        if self.kspan.enabled {
-            // The request ends after the exit-path charge so those cycles
-            // are attributed to it (matching kprof's phase accounting).
-            let now = self.cur_cpu().cpu.now;
-            self.kspan.on_close(cur, now);
-        }
+        self.charge_in(Phase::Exit, self.cost.exit_cost(interrupt_model));
+        // The request ends after the exit-path charge so those cycles are
+        // attributed to it (matching kprof's phase accounting).
+        self.probe(Probe::Close { thread: cur });
         // Latched reschedules take effect on the way out; the main loop
         // performs the actual switch at the next iteration.
     }

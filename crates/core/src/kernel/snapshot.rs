@@ -170,7 +170,7 @@ impl Kernel {
         self.events.snap(w);
         self.stats.snap(w);
         self.trace.snap(w);
-        self.kprof.snap(w);
+        self.kprof.snap_image(w, self.kspan.enabled);
         self.kspan.snap(w);
         self.kfault.snap(w);
         self.dispatch_rollback.snap(w);
@@ -249,7 +249,7 @@ impl Kernel {
         let events = Snap::restore(&mut r)?;
         let stats = Snap::restore(&mut r)?;
         let trace = Snap::restore(&mut r)?;
-        let kprof = Snap::restore(&mut r)?;
+        let kprof = crate::kprof::Kprof::restore_image(&mut r)?;
         let kspan = Snap::restore(&mut r)?;
         let kfault = Snap::restore(&mut r)?;
         let dispatch_rollback = Snap::restore(&mut r)?;

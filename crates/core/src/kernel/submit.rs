@@ -38,9 +38,10 @@ use fluke_api::{ErrorCode, Sys};
 use fluke_arch::Reg;
 
 use crate::ids::{ObjId, ThreadId};
+use crate::kprof::Phase;
 use crate::kstat::FaultSide;
 use crate::object::{BufferedMsg, ObjData};
-use crate::trace::TraceEvent;
+use crate::probe::Probe;
 
 use super::mem::PumpFault;
 use super::{Kernel, SysCtx, SysOutcome, SysResult};
@@ -166,9 +167,7 @@ impl Kernel {
             let (f, off) = self.user_translate(t, buf.wrapping_add(i as u32), false)?;
             *b = self.phys.read_u8(f, off);
         }
-        self.kprof.enter(crate::kprof::Phase::IpcCopy);
-        self.charge(self.cost.copy_byte_per * len as u64);
-        self.kprof.exit();
+        self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * len as u64);
         // Commit order: result word (replay-idempotent), then the
         // irreversible kernel-state change, then the caller's cursor.
         self.submit_write_result(t, base, opflags, ErrorCode::Success)?;
@@ -218,9 +217,7 @@ impl Kernel {
                 let (f, off) = self.user_translate(t, buf.wrapping_add(i), true)?;
                 self.phys.write_u8(f, off, bytes[pos + i as usize]);
             }
-            self.kprof.enter(crate::kprof::Phase::IpcCopy);
-            self.charge(self.cost.copy_byte_per * deliver as u64);
-            self.kprof.exit();
+            self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * deliver as u64);
             let code = if deliver < avail {
                 ErrorCode::Truncated // excess dropped, as in plain one-way
             } else {
@@ -231,7 +228,10 @@ impl Kernel {
             self.pop_buffered(port);
             self.stats.ipc_bytes += deliver as u64;
             self.stats.ipc_messages += 1;
-            self.ktrace(TraceEvent::IpcMessage { thread: t });
+            self.probe(Probe::IpcMessage {
+                thread: t,
+                flow: None,
+            });
             return Ok(());
         }
         let has_sender = matches!(
@@ -326,14 +326,12 @@ impl Kernel {
                         self.phys
                             .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
                         self.progress();
-                        self.kprof.enter(crate::kprof::Phase::IpcCopy);
-                        self.charge(self.cost.copy_byte_per * chunk as u64);
-                        self.kprof.exit();
+                        self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
                         self.end_advance_user_recv(rt, chunk);
                         pos += chunk as usize;
                         self.park_buffered_pos(port, pos);
                         self.stats.ipc_bytes += chunk as u64;
-                        self.ktrace(TraceEvent::IpcTransfer {
+                        self.probe(Probe::IpcTransfer {
                             thread: current,
                             bytes: chunk,
                         });
@@ -369,8 +367,10 @@ impl Kernel {
             // Message fully delivered.
             self.pop_buffered(port);
             self.stats.ipc_messages += 1;
-            self.ktrace(TraceEvent::IpcMessage { thread: current });
-            self.kspan_stitch(current, rt);
+            self.probe(Probe::IpcMessage {
+                thread: current,
+                flow: Some((current, rt)),
+            });
             self.complete_blocked(rt, ErrorCode::Success);
         }
     }

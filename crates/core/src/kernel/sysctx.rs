@@ -145,6 +145,11 @@ impl Kernel {
         });
     }
 
+    /// The audited dispatch in flight: its caller and entrypoint.
+    pub(crate) fn audited(&self) -> Option<(ThreadId, Sys)> {
+        self.audit.as_ref().map(|a| (a.t, a.sys))
+    }
+
     /// End auditing (dispatch completed, chained away, or caller died).
     pub(crate) fn audit_end(&mut self) {
         self.audit = None;
@@ -170,17 +175,6 @@ impl Kernel {
     /// transition. Counts the hit, then (debug builds) checks the
     /// atomic-API contract.
     pub(crate) fn audit_block_point(&mut self, t: ThreadId, preempted: bool) {
-        // Flowcheck records the dispatched entrypoint at every audited
-        // block so the next re-entry can be validated against its restart
-        // closure; outside a dispatch it clears any stale record.
-        match self.audit.as_ref() {
-            Some(a) if a.t == t => {
-                let sys = a.sys;
-                self.flowcheck_note_block(t, Some(sys));
-            }
-            Some(_) => {}
-            None => self.flowcheck_note_block(t, None),
-        }
         let Some(a) = self.audit.as_ref() else {
             // Not inside an audited dispatch: a user-mode page fault
             // blocking on its keeper. Registers were never touched, so

@@ -35,8 +35,8 @@ use fluke_arch::{ProgramId, UserRegs};
 use crate::ids::ThreadId;
 use crate::kernel::mem::Walk;
 use crate::kernel::{Kernel, LockKey};
+use crate::probe::Probe;
 use crate::thread::{Body, RunState};
-use crate::trace::TraceEvent;
 
 /// The four adversarial perturbations `kfault` can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -229,9 +229,9 @@ impl Kernel {
             return false;
         }
         self.stats.faults_injected[KfaultKind::Transient.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.probe(Probe::Injected {
             thread: cur,
-            kind: KfaultKind::Transient.index() as u32,
+            kind: KfaultKind::Transient,
             site,
         });
         true
@@ -244,9 +244,9 @@ impl Kernel {
     fn inject_timer(&mut self, victim: ThreadId, site: u64) {
         self.cur_cpu_mut().resched = true;
         self.stats.faults_injected[KfaultKind::Timer.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.probe(Probe::Injected {
             thread: victim,
-            kind: KfaultKind::Timer.index() as u32,
+            kind: KfaultKind::Timer,
             site,
         });
     }
@@ -300,12 +300,15 @@ impl Kernel {
         let now = self.now();
         // The victim keeps its open span across the round-trip (the frame
         // is the same request's continuation); it just waits to run again.
-        self.kspan.on_runnable(victim, now);
+        self.probe(Probe::Runnable {
+            thread: victim,
+            at: now,
+        });
         self.kick_parked(now);
         self.stats.faults_injected[KfaultKind::ExtractRestore.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.probe(Probe::Injected {
             thread: victim,
-            kind: KfaultKind::ExtractRestore.index() as u32,
+            kind: KfaultKind::ExtractRestore,
             site,
         });
         self.unlock(LockKey::Sched);
@@ -353,9 +356,9 @@ impl Kernel {
             self.tlb_shootdown(sid);
         }
         self.stats.faults_injected[KfaultKind::PageFlush.index()] += 1;
-        self.ktrace(TraceEvent::FaultInjected {
+        self.probe(Probe::Injected {
             thread: victim,
-            kind: KfaultKind::PageFlush.index() as u32,
+            kind: KfaultKind::PageFlush,
             site,
         });
         self.unlock(key);

@@ -5,16 +5,17 @@
 //! (entry/exit preamble, dispatch, IPC copy, memory fill, fault IPC,
 //! scheduling, locking) — with restart/rollback re-execution split out as
 //! a leaf under whichever phase re-ran. Attribution is driven from the
-//! *simulated* clock (never host time), so profiles are bit-deterministic,
-//! and the hooks touch only profiler state: with `kprof` enabled, every
-//! simulated quantity — cycle charges, traces, stats — is unchanged (the
-//! zero-perturbation golden-digest test enforces this). Disabled, each
-//! hook is a single predictable branch and nothing is allocated beyond
-//! the empty struct.
+//! *simulated* clock (never host time), so profiles are bit-deterministic.
+//! The profiler is a consumer of the kernel's probe stream
+//! (`Kprof::observe`) and touches only its own state: with `kprof`
+//! enabled, every simulated quantity — cycle charges, traces, stats — is
+//! unchanged (the zero-perturbation golden-digest test enforces this).
+//! Disabled, nothing is allocated beyond the empty struct.
 //!
-//! The kernel keeps a phase *stack* while it works; the current path is
-//! packed into a `u32` (4 bits per level), so entering/leaving a phase
-//! and attributing a charge are a few integer ops — no strings, no
+//! A charge's path is a pure function of its probe (`charge_path`):
+//! `dispatch` while a handler runs, the phase the charge names, and the
+//! `restart` leaf during rollback. It is packed into a `u32` (4 bits per
+//! level), so attributing a charge is a few integer ops — no strings, no
 //! allocation on the hot path. Self-cycles per path live in a `BTreeMap`
 //! keyed by packed path, which also makes every report deterministic.
 //!
@@ -27,6 +28,7 @@ use std::collections::BTreeMap;
 
 use fluke_arch::cost::Cycles;
 
+use crate::probe::{Probe, ProbeCx};
 use crate::trace::Histogram;
 
 /// A kernel phase (one level of the attribution tree).
@@ -114,21 +116,36 @@ pub fn path_name(code: u32) -> String {
     s
 }
 
-/// The profiler state held by the kernel. All methods are no-ops when
-/// disabled (one branch); when enabled they mutate only this struct.
+/// The packed path a charge lands on: `dispatch` while a system-call
+/// handler runs, then the charge's own `phase`, then — while rollback
+/// re-execution is active — the `Restart` leaf. A lock section
+/// ([`Phase::Lock`]) is never nested: kprof routes it whole to the
+/// top-level lock bucket, and kspan's per-request frames keep it on the
+/// enclosing path.
+#[inline]
+pub(crate) fn charge_path(dispatch: bool, phase: Option<Phase>, rollback: bool) -> u32 {
+    let (mut code, mut shift) = (0, 0);
+    if dispatch {
+        code = Phase::Dispatch as u32;
+        shift = 4;
+    }
+    if let Some(p) = phase.filter(|&p| p != Phase::Lock) {
+        code |= (p as u32) << shift;
+        shift += 4;
+    }
+    if rollback {
+        code |= (Phase::Restart as u32) << shift;
+    }
+    code
+}
+
+/// The profiler state held by the kernel. Fed by the probe stream; when
+/// disabled it attributes nothing, when enabled it mutates only this
+/// struct.
 #[derive(Debug, Clone, Default)]
 pub struct Kprof {
     /// Whether attribution is active (set from `Config::kprof`).
     pub enabled: bool,
-    /// Maintain the phase stack even when attribution is off, so `kspan`
-    /// can label per-request charges by phase path without full `kprof`.
-    track_paths: bool,
-    /// Current phase-stack depth.
-    depth: u32,
-    /// Packed current path (4 bits per level; 0 = kernel root).
-    code: u32,
-    /// Set while inside a `klock_section`, routing its charge to `Lock`.
-    in_lock: bool,
     /// Self-cycles of user-mode execution.
     user: u64,
     /// Self-cycles of idle waiting.
@@ -150,118 +167,49 @@ impl Kprof {
         }
     }
 
-    /// Keep the phase stack maintained even with attribution disabled
-    /// (host-side only; simulated quantities are untouched either way).
-    pub(crate) fn enable_path_tracking(&mut self) {
-        self.track_paths = true;
-    }
-
-    /// The packed code of the current phase path, with the `Restart`
-    /// leaf appended while rollback re-execution is active — exactly the
-    /// path [`Kprof::attr_kernel`] would charge.
-    #[inline]
-    pub(crate) fn current_code(&self, rollback: bool) -> u32 {
-        if rollback {
-            self.code | (Phase::Restart as u32) << (4 * self.depth)
-        } else {
-            self.code
-        }
-    }
-
-    /// Push a phase onto the attribution stack.
-    #[inline]
-    pub(crate) fn enter(&mut self, p: Phase) {
-        if !(self.enabled || self.track_paths) {
-            return;
-        }
-        debug_assert!(self.depth < MAX_DEPTH, "kprof phase stack overflow");
-        self.code |= (p as u32) << (4 * self.depth);
-        self.depth += 1;
-    }
-
-    /// Pop the current phase.
-    #[inline]
-    pub(crate) fn exit(&mut self) {
-        if !(self.enabled || self.track_paths) {
-            return;
-        }
-        debug_assert!(self.depth > 0, "kprof phase stack underflow");
-        self.depth -= 1;
-        self.code &= !(0xf << (4 * self.depth));
-    }
-
-    /// Route the next `attr_kernel` charges to the `Lock` bucket
-    /// (`klock_section` acquire/release cost).
-    #[inline]
-    pub(crate) fn lock_begin(&mut self) {
-        if self.enabled {
-            self.in_lock = true;
-        }
-    }
-
-    /// End the `Lock` routing started by [`Kprof::lock_begin`].
-    #[inline]
-    pub(crate) fn lock_end(&mut self) {
-        if self.enabled {
-            self.in_lock = false;
-        }
-    }
-
-    /// Attribute a kernel charge: `c` base cycles to the current path
-    /// (with a `Restart` leaf while rollback re-execution is active) and
-    /// `lock_extra` surcharge cycles (the Full-preemption locking model)
-    /// to the top-level `Lock` bucket.
-    #[inline]
-    pub(crate) fn attr_kernel(&mut self, c: Cycles, rollback: bool, lock_extra: Cycles) {
+    /// The `kprof` consumer of the probe stream: attribute every
+    /// cycle-carrying probe to its bucket, charges by [`charge_path`].
+    /// Inlined into the kernel's delivery: it runs on every charge, and a
+    /// call per charge doubled kprof's armed host cost.
+    #[inline(always)]
+    pub(crate) fn observe(&mut self, p: &Probe, cx: &ProbeCx) {
         if !self.enabled {
             return;
         }
-        let lock_code = Phase::Lock as u32;
-        if self.in_lock {
-            *self.kernel.entry(lock_code).or_insert(0) += c + lock_extra;
-            return;
-        }
-        let code = if rollback {
-            self.code | (Phase::Restart as u32) << (4 * self.depth)
-        } else {
-            self.code
-        };
-        *self.kernel.entry(code).or_insert(0) += c;
-        if lock_extra > 0 {
-            *self.kernel.entry(lock_code).or_insert(0) += lock_extra;
-        }
-    }
-
-    /// Attribute user-mode execution cycles.
-    #[inline]
-    pub(crate) fn attr_user(&mut self, c: Cycles) {
-        if self.enabled {
-            self.user += c;
-        }
-    }
-
-    /// Attribute idle cycles.
-    #[inline]
-    pub(crate) fn attr_idle(&mut self, c: Cycles) {
-        if self.enabled {
-            self.idle += c;
-        }
-    }
-
-    /// Attribute big-kernel-lock wait cycles to the `Lock` bucket.
-    #[inline]
-    pub(crate) fn attr_lock(&mut self, c: Cycles) {
-        if self.enabled {
-            *self.kernel.entry(Phase::Lock as u32).or_insert(0) += c;
+        let dispatch = cx.dispatch.is_some();
+        match *p {
+            Probe::Charge {
+                cycles,
+                phase: Some(Phase::Lock),
+                ..
+            } => self.add_kernel(Phase::Lock as u32, cycles),
+            Probe::Charge {
+                cycles,
+                lock_extra,
+                phase,
+            } => {
+                self.add_kernel(
+                    charge_path(dispatch, phase, cx.rollback),
+                    cycles - lock_extra,
+                );
+                if lock_extra > 0 {
+                    self.add_kernel(Phase::Lock as u32, lock_extra);
+                }
+            }
+            Probe::Remote { cycles } => self.add_kernel(charge_path(dispatch, None, false), cycles),
+            Probe::LockCost { cycles } | Probe::LockWait { cycles, .. } => {
+                self.add_kernel(Phase::Lock as u32, cycles)
+            }
+            Probe::User { cycles, .. } => self.user += cycles,
+            Probe::Idle { cycles } => self.idle += cycles,
+            Probe::Latency { cycles } => self.preempt_latency.record(cycles),
+            _ => {}
         }
     }
 
-    /// Record one event-raised → dispatch latency observation.
     #[inline]
-    pub(crate) fn record_latency(&mut self, cycles: Cycles) {
-        if self.enabled {
-            self.preempt_latency.record(cycles);
-        }
+    fn add_kernel(&mut self, code: u32, cycles: Cycles) {
+        *self.kernel.entry(code).or_insert(0) += cycles;
     }
 
     /// The preemption-latency histogram (event-raised → next-dispatch
@@ -409,25 +357,32 @@ impl Kprof {
 
 use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Kprof {
-    fn snap(&self, w: &mut SnapWriter) {
+impl Kprof {
+    /// Write the profiler's snapshot section. `kspan` records whether the
+    /// kspan layer labels charges with these paths. The version-2 image
+    /// also holds a phase-stack depth, path and lock-section flag, which
+    /// are empty between dispatches, where snapshots are taken.
+    pub(crate) fn snap_image(&self, w: &mut SnapWriter, kspan: bool) {
         w.bool(self.enabled);
-        w.bool(self.track_paths);
-        w.u32(self.depth);
-        w.u32(self.code);
-        w.bool(self.in_lock);
+        w.bool(kspan);
+        w.u32(0);
+        w.u32(0);
+        w.bool(false);
         w.u64(self.user);
         w.u64(self.idle);
         self.kernel.snap(w);
         self.preempt_latency.snap(w);
     }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+
+    /// Read a section written by [`Kprof::snap_image`].
+    pub(crate) fn restore_image(r: &mut SnapReader<'_>) -> Result<Kprof, SnapError> {
+        let enabled = r.bool()?;
+        r.bool()?; // kspan's flag; its own section carries it too
+        if r.u32()? != 0 || r.u32()? != 0 || r.bool()? {
+            return Err(SnapError::Invalid("kprof phase stack"));
+        }
         Ok(Kprof {
-            enabled: r.bool()?,
-            track_paths: r.bool()?,
-            depth: r.u32()?,
-            code: r.u32()?,
-            in_lock: r.bool()?,
+            enabled,
             user: r.u64()?,
             idle: r.u64()?,
             kernel: Snap::restore(r)?,
@@ -439,16 +394,47 @@ impl Snap for Kprof {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ThreadId;
+    use crate::kernel::LockKey;
+    use crate::probe::tests::with_cx;
+    use crate::probe::ProbeCx;
+    use fluke_api::Sys;
+
+    /// Feed `probes` with rollback re-execution `rollback` and, when
+    /// `dispatch`, a system-call handler running.
+    fn feed(k: &mut Kprof, dispatch: bool, rollback: bool, probes: &[Probe]) {
+        with_cx(0, rollback, |cx| {
+            let cx = ProbeCx {
+                dispatch: dispatch.then_some((ThreadId(0), Sys::SysNull)),
+                ..*cx
+            };
+            for p in probes {
+                k.observe(p, &cx);
+            }
+        });
+    }
+
+    fn charge(cycles: Cycles, lock_extra: Cycles, phase: Option<Phase>) -> Probe {
+        Probe::Charge {
+            cycles,
+            lock_extra,
+            phase,
+        }
+    }
 
     #[test]
     fn disabled_profiler_attributes_nothing() {
         let mut k = Kprof::new(false);
-        k.enter(Phase::Dispatch);
-        k.attr_kernel(100, false, 0);
-        k.attr_user(50);
-        k.attr_idle(25);
-        k.record_latency(10);
-        k.exit();
+        let probes = [
+            charge(100, 0, None),
+            Probe::User {
+                thread: ThreadId(0),
+                cycles: 50,
+            },
+            Probe::Idle { cycles: 25 },
+            Probe::Latency { cycles: 10 },
+        ];
+        feed(&mut k, true, false, &probes);
         assert_eq!(k.total(), 0);
         assert!(k.preempt_latency().is_empty());
         assert!(k.flat().is_empty());
@@ -457,13 +443,9 @@ mod tests {
     #[test]
     fn paths_pack_and_render() {
         let mut k = Kprof::new(true);
-        k.attr_kernel(5, false, 0); // kernel root self
-        k.enter(Phase::Dispatch);
-        k.attr_kernel(10, false, 0);
-        k.enter(Phase::IpcCopy);
-        k.attr_kernel(20, false, 0);
-        k.exit();
-        k.exit();
+        feed(&mut k, false, false, &[charge(5, 0, None)]); // kernel root self
+        let probes = [charge(10, 0, None), charge(20, 0, Some(Phase::IpcCopy))];
+        feed(&mut k, true, false, &probes);
         assert_eq!(k.self_cycles(&[]), 5);
         assert_eq!(k.self_cycles(&[Phase::Dispatch]), 10);
         assert_eq!(k.self_cycles(&[Phase::Dispatch, Phase::IpcCopy]), 20);
@@ -477,24 +459,27 @@ mod tests {
     #[test]
     fn rollback_charges_land_under_restart_leaf() {
         let mut k = Kprof::new(true);
-        k.enter(Phase::Dispatch);
-        k.attr_kernel(10, true, 0);
-        k.attr_kernel(30, false, 0);
-        k.exit();
+        feed(&mut k, true, true, &[charge(10, 0, None)]);
+        feed(&mut k, false, true, &[charge(5, 0, Some(Phase::Entry))]);
+        feed(&mut k, true, false, &[charge(30, 0, None)]);
         assert_eq!(k.self_cycles(&[Phase::Dispatch, Phase::Restart]), 10);
+        assert_eq!(k.self_cycles(&[Phase::Entry, Phase::Restart]), 5);
         assert_eq!(k.self_cycles(&[Phase::Dispatch]), 30);
     }
 
     #[test]
     fn lock_surcharge_and_sections_land_under_lock() {
         let mut k = Kprof::new(true);
-        k.enter(Phase::Dispatch);
-        k.attr_kernel(100, false, 40); // FP surcharge
-        k.lock_begin();
-        k.attr_kernel(7, false, 2); // klock_section charge (+ its surcharge)
-        k.lock_end();
-        k.exit();
-        k.attr_lock(11); // big-lock wait
+        let probes = [
+            charge(140, 40, None),           // FP surcharge
+            charge(9, 2, Some(Phase::Lock)), // lock section (+ its surcharge)
+        ];
+        feed(&mut k, true, false, &probes);
+        let wait = Probe::LockWait {
+            key: LockKey::Global,
+            cycles: 11,
+        };
+        feed(&mut k, false, false, &[wait]);
         assert_eq!(k.self_cycles(&[Phase::Dispatch]), 100);
         assert_eq!(k.self_cycles(&[Phase::Lock]), 40 + 9 + 11);
         assert_eq!(k.total(), 160);
@@ -503,13 +488,13 @@ mod tests {
     #[test]
     fn tree_report_totals_include_children() {
         let mut k = Kprof::new(true);
-        k.attr_user(1000);
-        k.enter(Phase::Dispatch);
-        k.attr_kernel(10, false, 0);
-        k.enter(Phase::MemFill);
-        k.attr_kernel(90, false, 0);
-        k.exit();
-        k.exit();
+        let user = Probe::User {
+            thread: ThreadId(0),
+            cycles: 1000,
+        };
+        feed(&mut k, false, false, &[user]);
+        let probes = [charge(10, 0, None), charge(90, 0, Some(Phase::MemFill))];
+        feed(&mut k, true, false, &probes);
         let rep = k.tree_report();
         // dispatch's inclusive total is 100 (10 self + 90 mem_fill).
         let dispatch_line = rep
@@ -523,8 +508,11 @@ mod tests {
     #[test]
     fn latency_histogram_records_when_enabled() {
         let mut k = Kprof::new(true);
-        k.record_latency(123);
-        k.record_latency(456);
+        let probes = [
+            Probe::Latency { cycles: 123 },
+            Probe::Latency { cycles: 456 },
+        ];
+        feed(&mut k, false, false, &probes);
         assert_eq!(k.preempt_latency().count(), 2);
         assert_eq!(k.preempt_latency().max(), 456);
     }

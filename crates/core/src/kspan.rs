@@ -30,18 +30,21 @@
 //! `kernel.contention.*` kstat counters — the explanatory variable the
 //! per-CPU-scheduling roadmap item needs.
 //!
-//! Everything here is host-side observation: hooks read the simulated
-//! clock and mutate only this struct, never a simulated quantity. With
-//! `kspan` disabled every hook is a single predictable branch; enabled,
+//! Everything here is host-side observation: the layer consumes the
+//! kernel's probe stream (`Kspan::observe`), reads the simulated clock
+//! and mutates only this struct, never a simulated quantity. Enabled,
 //! runs are bit-identical to the blessed golden trace digests (the
 //! zero-perturbation proof obligation, enforced in the bench tests).
 
 use std::collections::BTreeMap;
 
+use fluke_api::Sys;
 use fluke_arch::cost::Cycles;
 
 use crate::ids::ThreadId;
+use crate::kernel::LockKey;
 use crate::kprof;
+use crate::probe::{Probe, ProbeCx};
 use crate::thread::{WaitClass, WaitReason};
 use crate::trace::Histogram;
 
@@ -173,8 +176,8 @@ pub struct ObjectContention {
     pub waits: u64,
 }
 
-/// The kspan layer held by the kernel. All methods are no-ops when
-/// disabled (one branch); enabled, they mutate only this struct.
+/// The kspan layer held by the kernel. Fed by the probe stream; disabled
+/// it records nothing, enabled it mutates only this struct.
 #[derive(Debug, Default)]
 pub struct Kspan {
     /// Whether causal tracing is active (set from `Config::kspan`).
@@ -206,10 +209,60 @@ impl Kspan {
         }
     }
 
+    /// The `kspan` consumer of the probe stream: drive each thread's
+    /// span through its segments, label charges with kprof's phase path,
+    /// and stitch spans across completed user-to-user messages.
+    pub(crate) fn observe(&mut self, p: &Probe, cx: &ProbeCx) {
+        if !self.enabled {
+            return;
+        }
+        match *p {
+            Probe::Enter { thread, .. } => {
+                let class = Sys::from_u32(cx.eax(thread)).map_or("invalid", |s| s.name());
+                self.open(thread, class, cx.at);
+            }
+            Probe::Exit {
+                thread,
+                closes: true,
+                ..
+            }
+            | Probe::Close { thread } => self.close(thread, cx.at),
+            Probe::Block { thread, reason } | Probe::Rewait { thread, reason } => {
+                self.transition(thread, Seg::Blocked(reason), cx.at)
+            }
+            Probe::Runnable { thread, at } => self.transition(thread, Seg::Runnable, at),
+            // On-CPU starts at dispatch, so the context-switch charge lands
+            // in the dispatched request's on-CPU bucket, mirroring kprof.
+            Probe::Switch { thread, .. } => self.transition(thread, Seg::OnCpu, cx.at),
+            Probe::Charge {
+                cycles,
+                lock_extra,
+                phase,
+            } => {
+                if let Some(t) = cx.current {
+                    let path = kprof::charge_path(cx.dispatch.is_some(), phase, cx.rollback);
+                    self.charge(t, path, cycles - lock_extra, lock_extra);
+                }
+            }
+            Probe::User { thread, cycles } => self.user(thread, cycles),
+            // Run-queue waits have their own first-class counters
+            // (`kernel.contention.runq.*`).
+            Probe::LockWait { key, cycles } if !matches!(key, LockKey::RunQueue(_)) => {
+                self.lock_wait(cx.current, key.class(), cycles)
+            }
+            Probe::IpcMessage {
+                flow: Some((from, to)),
+                ..
+            } => self.stitch(from, to, cx.at),
+            Probe::Abort { thread } | Probe::Halt { thread } => self.abort(thread),
+            _ => {}
+        }
+    }
+
     /// Open a span for `t` at kernel entry, unless one is already active
     /// (a restart or in-kernel re-entry continues the existing request).
-    pub(crate) fn on_enter(&mut self, t: ThreadId, class: &'static str, now: Cycles) {
-        if !self.enabled || self.active.contains_key(&t) {
+    fn open(&mut self, t: ThreadId, class: &'static str, now: Cycles) {
+        if self.active.contains_key(&t) {
             return;
         }
         let req = self.next_req;
@@ -276,36 +329,8 @@ impl Kspan {
         }
     }
 
-    /// The thread was dispatched onto a CPU.
-    #[inline]
-    pub(crate) fn on_run(&mut self, t: ThreadId, now: Cycles) {
-        if self.enabled {
-            self.transition(t, Seg::OnCpu, now);
-        }
-    }
-
-    /// The thread became runnable (wake, unblock, or preemption off CPU).
-    #[inline]
-    pub(crate) fn on_runnable(&mut self, t: ThreadId, now: Cycles) {
-        if self.enabled {
-            self.transition(t, Seg::Runnable, now);
-        }
-    }
-
-    /// The thread blocked for `reason` (also re-stamps an in-place
-    /// blocked-reason change, closing the old wait into its bucket).
-    #[inline]
-    pub(crate) fn on_block(&mut self, t: ThreadId, reason: WaitReason, now: Cycles) {
-        if self.enabled {
-            self.transition(t, Seg::Blocked(reason), now);
-        }
-    }
-
     /// The thread's call completed user-visibly: close its span.
-    pub(crate) fn on_close(&mut self, t: ThreadId, now: Cycles) {
-        if !self.enabled {
-            return;
-        }
+    fn close(&mut self, t: ThreadId, now: Cycles) {
         // Roll the final segment; the replacement kind is irrelevant.
         self.transition(t, Seg::OnCpu, now);
         let Some(span) = self.active.remove(&t) else {
@@ -340,10 +365,7 @@ impl Kspan {
 
     /// The thread was halted or had wholesale new state installed
     /// mid-request: terminate its span cleanly without recording it.
-    pub(crate) fn on_abort(&mut self, t: ThreadId) {
-        if !self.enabled {
-            return;
-        }
+    fn abort(&mut self, t: ThreadId) {
         if self.active.remove(&t).is_some() {
             self.aborted += 1;
         }
@@ -353,10 +375,7 @@ impl Kspan {
     /// `base` cycles under the current `kprof` path and `lock_extra`
     /// surcharge cycles under the lock path (also carved into the lock
     /// bucket at segment close).
-    pub(crate) fn on_charge(&mut self, t: ThreadId, path: u32, base: Cycles, lock_extra: Cycles) {
-        if !self.enabled {
-            return;
-        }
+    fn charge(&mut self, t: ThreadId, path: u32, base: Cycles, lock_extra: Cycles) {
         let Some(span) = self.active.get_mut(&t) else {
             return;
         };
@@ -372,8 +391,8 @@ impl Kspan {
 
     /// Attribute user-mode cycles (restart re-execution of the trapping
     /// instruction) to the current span's flamegraph.
-    pub(crate) fn on_user(&mut self, t: ThreadId, cycles: Cycles) {
-        if !self.enabled || cycles == 0 {
+    fn user(&mut self, t: ThreadId, cycles: Cycles) {
+        if cycles == 0 {
             return;
         }
         if let Some(span) = self.active.get_mut(&t) {
@@ -387,15 +406,7 @@ impl Kspan {
     /// `"space"`, `"handles"`, `"ipc"` for fine-grained classes), and
     /// carved out of the running span's on-CPU segment into the lock
     /// bucket.
-    pub(crate) fn on_lock_wait(
-        &mut self,
-        t: Option<ThreadId>,
-        class: &'static str,
-        cycles: Cycles,
-    ) {
-        if !self.enabled {
-            return;
-        }
+    fn lock_wait(&mut self, t: Option<ThreadId>, class: &'static str, cycles: Cycles) {
         let e = self.contention.entry(class.to_string()).or_default();
         e.wait_cycles += cycles;
         e.waits += 1;
@@ -411,8 +422,8 @@ impl Kspan {
     /// request when the receiver's span is a parentless root of a
     /// request no other span has ever joined (so reply edges never
     /// re-root the originating request).
-    pub(crate) fn stitch(&mut self, from: ThreadId, to: ThreadId, now: Cycles) {
-        if !self.enabled || from == to {
+    fn stitch(&mut self, from: ThreadId, to: ThreadId, now: Cycles) {
+        if from == to {
             return;
         }
         let Some((from_id, from_req)) = self.active.get(&from).map(|s| (s.id, s.req)) else {
@@ -699,26 +710,100 @@ mod tests {
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
 
+    fn feed(k: &mut Kspan, probes: &[Probe]) {
+        crate::probe::tests::with_cx(0, false, |cx| {
+            for p in probes {
+                k.observe(p, cx);
+            }
+        });
+    }
+
     #[test]
     fn disabled_layer_does_nothing() {
         let mut k = Kspan::new(false);
-        k.on_enter(T0, "sys_null", 10);
-        k.on_block(T0, WaitReason::Sleep, 20);
-        k.on_close(T0, 30);
-        k.on_abort(T0);
+        feed(
+            &mut k,
+            &[
+                Probe::Enter {
+                    thread: T0,
+                    restarting: false,
+                },
+                Probe::Block {
+                    thread: T0,
+                    reason: WaitReason::Sleep,
+                },
+                Probe::Close { thread: T0 },
+                Probe::Abort { thread: T0 },
+            ],
+        );
         assert_eq!(k.open_count(), 0);
         assert!(k.completed().is_empty());
         assert_eq!(k.aborted(), 0);
     }
 
     #[test]
+    fn probes_drive_spans_stitches_and_lock_waits() {
+        let mut k = Kspan::new(true);
+        let enter = |thread| Probe::Enter {
+            thread,
+            restarting: false,
+        };
+        feed(
+            &mut k,
+            &[
+                enter(T0),
+                enter(T1),
+                // A user-to-user message stitches; a kernel-end one does not.
+                Probe::IpcMessage {
+                    thread: T0,
+                    flow: Some((T0, T1)),
+                },
+                Probe::IpcMessage {
+                    thread: T1,
+                    flow: None,
+                },
+                // Run-queue waits are not kspan contention.
+                Probe::LockWait {
+                    key: LockKey::RunQueue(0),
+                    cycles: 5,
+                },
+                Probe::LockWait {
+                    key: LockKey::Global,
+                    cycles: 7,
+                },
+                Probe::Exit {
+                    thread: T1,
+                    code: fluke_api::ErrorCode::Success,
+                    closes: true,
+                },
+                Probe::Exit {
+                    thread: T0,
+                    code: fluke_api::ErrorCode::Success,
+                    closes: false,
+                },
+            ],
+        );
+        assert_eq!(k.flows().len(), 1);
+        assert_eq!(
+            k.completed().len(),
+            1,
+            "only the closing exit ends a request"
+        );
+        assert_eq!(k.completed()[0].parent, Some(0));
+        assert_eq!(k.completed()[0].class, "invalid");
+        assert_eq!(k.contention().keys().collect::<Vec<_>>(), ["klock"]);
+        feed(&mut k, &[Probe::Close { thread: T0 }]);
+        assert_eq!(k.open_count(), 0);
+    }
+
+    #[test]
     fn decomposition_telescopes_exactly() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_ipc_client_send", 100);
-        k.on_block(T0, WaitReason::IpcSend(ConnId(3)), 140); // 40 on-CPU
-        k.on_runnable(T0, 200); // 60 blocked on IPC
-        k.on_run(T0, 230); // 30 runnable
-        k.on_close(T0, 250); // 20 on-CPU
+        k.open(T0, "sys_ipc_client_send", 100);
+        k.transition(T0, Seg::Blocked(WaitReason::IpcSend(ConnId(3))), 140); // 40 on-CPU
+        k.transition(T0, Seg::Runnable, 200); // 60 blocked on IPC
+        k.transition(T0, Seg::OnCpu, 230); // 30 runnable
+        k.close(T0, 250); // 20 on-CPU
         let recs = k.completed();
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
@@ -738,10 +823,10 @@ mod tests {
     #[test]
     fn lock_waits_carve_out_of_on_cpu_segment() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_null", 0);
-        k.on_lock_wait(Some(T0), "klock", 15); // big-lock wait inside the segment
-        k.on_charge(T0, 0x3, 50, 10); // FP surcharge adds 10 more
-        k.on_close(T0, 100);
+        k.open(T0, "sys_null", 0);
+        k.lock_wait(Some(T0), "klock", 15); // big-lock wait inside the segment
+        k.charge(T0, 0x3, 50, 10); // FP surcharge adds 10 more
+        k.close(T0, 100);
         let r = &k.completed()[0];
         assert_eq!(r.e2e(), 100);
         assert_eq!(r.lock_wait, 25);
@@ -753,14 +838,14 @@ mod tests {
     #[test]
     fn restart_continues_the_same_span() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_mutex_lock", 0);
-        k.on_block(T0, WaitReason::Mutex(ObjId(7)), 10);
-        k.on_runnable(T0, 50);
-        k.on_run(T0, 60);
+        k.open(T0, "sys_mutex_lock", 0);
+        k.transition(T0, Seg::Blocked(WaitReason::Mutex(ObjId(7))), 10);
+        k.transition(T0, Seg::Runnable, 50);
+        k.transition(T0, Seg::OnCpu, 60);
         // The restarted call re-enters the kernel: same span.
-        k.on_enter(T0, "sys_mutex_lock", 60);
+        k.open(T0, "sys_mutex_lock", 60);
         assert_eq!(k.open_count(), 1);
-        k.on_close(T0, 70);
+        k.close(T0, 70);
         let r = &k.completed()[0];
         assert_eq!(r.e2e(), 70);
         assert_eq!(r.lock_wait, 40);
@@ -772,11 +857,11 @@ mod tests {
     #[test]
     fn blocked_reason_restamp_splits_the_wait() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_ipc_send_wait_receive", 0);
-        k.on_block(T0, WaitReason::IpcSend(ConnId(1)), 10);
+        k.open(T0, "sys_ipc_send_wait_receive", 0);
+        k.transition(T0, Seg::Blocked(WaitReason::IpcSend(ConnId(1))), 10);
         // In-place transition to waiting for the reply.
-        k.on_block(T0, WaitReason::IpcReceive(ConnId(1)), 30);
-        k.on_close(T0, 100);
+        k.transition(T0, Seg::Blocked(WaitReason::IpcReceive(ConnId(1))), 30);
+        k.close(T0, 100);
         let r = &k.completed()[0];
         assert_eq!(r.blocked_ipc, 90);
         assert_eq!(r.decomposed(), r.e2e());
@@ -786,9 +871,9 @@ mod tests {
     #[test]
     fn stitch_adopts_single_span_roots_but_not_reply_targets() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_ipc_client_send", 0); // client request R0
-        k.on_enter(T1, "sys_ipc_wait_receive", 5); // server request R1
-                                                   // Request transfer client → server: server adopted.
+        k.open(T0, "sys_ipc_client_send", 0); // client request R0
+        k.open(T1, "sys_ipc_wait_receive", 5); // server request R1
+                                               // Request transfer client → server: server adopted.
         k.stitch(T0, T1, 20);
         assert_eq!(k.flows().len(), 1);
         let server = &k.active[&T1];
@@ -796,8 +881,8 @@ mod tests {
         assert_eq!(server.req, client.req);
         assert_eq!(server.parent, Some(client.id));
         // Server's call completes; a new server span sends the reply.
-        k.on_close(T1, 40);
-        k.on_enter(T1, "sys_ipc_send_wait_receive", 45);
+        k.close(T1, 40);
+        k.open(T1, "sys_ipc_send_wait_receive", 45);
         // Reply transfer server → client: the client's request already
         // contains the adopted server span, so it is NOT re-rooted.
         k.stitch(T1, T0, 50);
@@ -807,8 +892,8 @@ mod tests {
         let reply_span = &k.active[&T1];
         assert!(reply_span.parent.is_none());
         // Next client request adopts the server's waiting span.
-        k.on_close(T0, 60);
-        k.on_enter(T0, "sys_ipc_client_send", 70);
+        k.close(T0, 60);
+        k.open(T0, "sys_ipc_client_send", 70);
         k.stitch(T0, T1, 80);
         let server = &k.active[&T1];
         let client = &k.active[&T0];
@@ -818,26 +903,26 @@ mod tests {
     #[test]
     fn abort_terminates_without_recording() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_thread_sleep", 0);
-        k.on_block(T0, WaitReason::Sleep, 10);
-        k.on_abort(T0);
+        k.open(T0, "sys_thread_sleep", 0);
+        k.transition(T0, Seg::Blocked(WaitReason::Sleep), 10);
+        k.abort(T0);
         assert_eq!(k.open_count(), 0);
         assert_eq!(k.aborted(), 1);
         assert!(k.completed().is_empty());
         // A second abort is a no-op.
-        k.on_abort(T0);
+        k.abort(T0);
         assert_eq!(k.aborted(), 1);
     }
 
     #[test]
     fn clock_skew_is_clamped_and_still_sums() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_null", 100);
-        k.on_block(T0, WaitReason::Sleep, 150);
+        k.open(T0, "sys_null", 100);
+        k.transition(T0, Seg::Blocked(WaitReason::Sleep), 150);
         // A wake stamped by a CPU whose clock lags the blocker's.
-        k.on_runnable(T0, 120);
-        k.on_run(T0, 180);
-        k.on_close(T0, 200);
+        k.transition(T0, Seg::Runnable, 120);
+        k.transition(T0, Seg::OnCpu, 180);
+        k.close(T0, 200);
         let r = &k.completed()[0];
         assert_eq!(r.decomposed(), r.e2e());
         assert_eq!(r.e2e(), 100);
@@ -846,13 +931,13 @@ mod tests {
     #[test]
     fn frames_aggregate_per_class() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "sys_null", 0);
-        k.on_charge(T0, 0x1, 30, 0);
-        k.on_user(T0, 5);
-        k.on_close(T0, 35);
-        k.on_enter(T0, "sys_null", 40);
-        k.on_charge(T0, 0x1, 20, 0);
-        k.on_close(T0, 60);
+        k.open(T0, "sys_null", 0);
+        k.charge(T0, 0x1, 30, 0);
+        k.user(T0, 5);
+        k.close(T0, 35);
+        k.open(T0, "sys_null", 40);
+        k.charge(T0, 0x1, 20, 0);
+        k.close(T0, 60);
         let frames = &k.class_frames()["sys_null"];
         assert_eq!(frames[&0x1], 50);
         assert_eq!(frames[&USER_FRAME], 5);
@@ -865,12 +950,12 @@ mod tests {
     #[test]
     fn top_contended_orders_by_wait_cycles() {
         let mut k = Kspan::new(true);
-        k.on_enter(T0, "a", 0);
-        k.on_block(T0, WaitReason::Mutex(ObjId(1)), 0);
-        k.on_runnable(T0, 100);
-        k.on_block(T0, WaitReason::Mutex(ObjId(2)), 100);
-        k.on_runnable(T0, 130);
-        k.on_close(T0, 130);
+        k.open(T0, "a", 0);
+        k.transition(T0, Seg::Blocked(WaitReason::Mutex(ObjId(1))), 0);
+        k.transition(T0, Seg::Runnable, 100);
+        k.transition(T0, Seg::Blocked(WaitReason::Mutex(ObjId(2))), 100);
+        k.transition(T0, Seg::Runnable, 130);
+        k.close(T0, 130);
         let top = k.top_contended(2);
         assert_eq!(top[0].0, "mutex_1");
         assert_eq!(top[0].1.wait_cycles, 100);

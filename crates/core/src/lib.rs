@@ -41,6 +41,7 @@ pub mod kstat;
 pub mod object;
 pub mod oracle;
 pub mod phys;
+mod probe;
 pub mod sched;
 pub mod space;
 pub mod thread;

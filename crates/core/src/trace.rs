@@ -11,9 +11,10 @@
 //!
 //! Design constraints:
 //!
-//! * **Zero-cost when off.** Every emission site is guarded by a single
-//!   branch on [`Tracer::enabled`]; a disabled tracer allocates nothing
-//!   and records nothing.
+//! * **Zero-cost when off.** The tracer is a consumer of the kernel's
+//!   probe stream (`Tracer::observe`); with every observer off each
+//!   probe point is a single branch, and a disabled tracer allocates
+//!   nothing and records nothing.
 //! * **Bounded.** Each CPU's ring holds at most the configured capacity;
 //!   overflow drops the *oldest* records and counts them in
 //!   [`TraceRing::dropped`] — never silently.
@@ -31,10 +32,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use fluke_api::SysClass;
+use fluke_api::abi::ARG_COUNT;
+use fluke_api::{Sys, SysClass};
 use fluke_arch::cost::Cycles;
 
 use crate::ids::ThreadId;
+use crate::probe::{Probe, ProbeCx};
 
 /// One structured kernel event.
 ///
@@ -311,8 +314,7 @@ impl TraceRing {
     }
 }
 
-/// The kernel's tracer: one bounded ring per CPU plus the enable flag
-/// consulted (once, inline) at every emission site.
+/// The kernel's tracer: one bounded ring per CPU plus its enable flag.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     /// Whether events are recorded. Immutable over a run.
@@ -320,7 +322,7 @@ pub struct Tracer {
     rings: Vec<TraceRing>,
     /// Rollback cycles accumulated since the last progress point; flushed
     /// as a single [`TraceEvent::Rollback`] when the window closes.
-    pub(crate) pending_rollback: Cycles,
+    pending_rollback: Cycles,
 }
 
 impl Tracer {
@@ -339,11 +341,86 @@ impl Tracer {
         }
     }
 
-    /// Record an event (caller has already checked [`Tracer::enabled`]).
-    #[inline]
-    pub(crate) fn emit(&mut self, cpu: usize, at: Cycles, event: TraceEvent) {
-        debug_assert!(self.enabled);
-        self.rings[cpu].push(at, cpu as u32, event);
+    /// The `ktrace` consumer of the probe stream: record the event a
+    /// probe maps to on the acting CPU's ring, stamped with its clock.
+    /// Charges made during rollback accumulate into one
+    /// [`TraceEvent::Rollback`], flushed when new work begins.
+    pub(crate) fn observe(&mut self, p: &Probe, cx: &ProbeCx) {
+        use Probe as P;
+        use TraceEvent as E;
+        if !self.enabled {
+            return;
+        }
+        let class = |t: ThreadId| Sys::from_u32(cx.eax(t)).map(|s| s.class());
+        let count = |t: ThreadId| cx.regs(t).map_or(0, |r| r.get(ARG_COUNT));
+        let event = match *p {
+            P::Enter { thread, restarting } => {
+                let (sys, class) = (cx.eax(thread), class(thread));
+                if restarting {
+                    E::SyscallRestart { thread, sys, class }
+                } else {
+                    E::SyscallEnter { thread, sys, class }
+                }
+            }
+            P::Exit { thread, code, .. } if cx.regs(thread).is_some() => {
+                let class = class(thread);
+                E::SyscallExit {
+                    thread,
+                    code: code as u32,
+                    class,
+                }
+            }
+            P::IpcSend { thread } => E::IpcSend {
+                thread,
+                bytes: count(thread),
+            },
+            P::IpcReceive { thread } => E::IpcReceive {
+                thread,
+                window: count(thread),
+            },
+            P::IpcTransfer { thread, bytes } => E::IpcTransfer { thread, bytes },
+            P::IpcMessage { thread, .. } => E::IpcMessage { thread },
+            P::SoftFault {
+                thread,
+                addr,
+                remedy,
+            } => E::SoftFault {
+                thread,
+                addr,
+                remedy,
+            },
+            P::HardFault { thread, offset } => E::HardFault { thread, offset },
+            P::HardFaultDone { thread, remedy } => E::HardFaultDone { thread, remedy },
+            P::Charge { cycles, .. } => {
+                if cx.rollback {
+                    self.pending_rollback += cycles;
+                }
+                return;
+            }
+            P::Rollback => match (cx.current, std::mem::take(&mut self.pending_rollback)) {
+                (Some(thread), cycles) if cycles > 0 => E::Rollback { thread, cycles },
+                _ => return,
+            },
+            P::Switch {
+                thread,
+                space_switch,
+            } => E::CtxSwitch {
+                thread,
+                space_switch,
+            },
+            P::UserPreempt { thread } => E::UserPreempt { thread },
+            P::KernelPreempt { thread } => E::KernelPreempt { thread },
+            P::Block { thread, .. } => E::Block { thread },
+            P::Wake { thread } => E::Wake { thread },
+            P::Halt { thread } => E::Halt { thread },
+            P::Mark { thread, value } => E::Mark { thread, value },
+            P::Injected { thread, kind, site } => {
+                let kind = kind.index() as u32;
+                E::FaultInjected { thread, kind, site }
+            }
+            _ => return,
+        };
+        self.rings[cx.cpu].push(cx.at, cx.cpu as u32, event);
     }
 
     /// The ring of one CPU.
@@ -828,6 +905,63 @@ impl Snap for Histogram {
 mod tests {
     use super::*;
 
+    fn emit(tr: &mut Tracer, cpu: usize, at: Cycles, event: TraceEvent) {
+        tr.rings[cpu].push(at, cpu as u32, event);
+    }
+
+    #[test]
+    fn probes_map_to_events_and_rollback_windows_flush_once() {
+        let mut tr = Tracer::new(true, 16, 2);
+        let t = ThreadId(3);
+        let charge = Probe::Charge {
+            cycles: 40,
+            lock_extra: 0,
+            phase: None,
+        };
+        crate::probe::tests::with_cx(7, true, |cx| {
+            let cx = ProbeCx {
+                cpu: 1,
+                current: Some(t),
+                ..*cx
+            };
+            tr.observe(
+                &Probe::Mark {
+                    thread: t,
+                    value: 9,
+                },
+                &cx,
+            );
+            tr.observe(&charge, &cx);
+            tr.observe(&charge, &cx);
+            tr.observe(&Probe::Idle { cycles: 5 }, &cx);
+            tr.observe(&Probe::Rollback, &cx);
+            tr.observe(&Probe::Rollback, &cx);
+        });
+        let events: Vec<(Cycles, u32, TraceEvent)> =
+            tr.merged().iter().map(|r| (r.at, r.cpu, r.event)).collect();
+        assert_eq!(
+            events,
+            vec![
+                (
+                    7,
+                    1,
+                    TraceEvent::Mark {
+                        thread: t,
+                        value: 9
+                    }
+                ),
+                (
+                    7,
+                    1,
+                    TraceEvent::Rollback {
+                        thread: t,
+                        cycles: 80
+                    }
+                ),
+            ]
+        );
+    }
+
     fn ev(t: u32) -> TraceEvent {
         TraceEvent::SyscallEnter {
             thread: ThreadId(t),
@@ -840,7 +974,7 @@ mod tests {
     fn ring_overflow_drops_oldest_with_explicit_counter() {
         let mut tr = Tracer::new(true, 4, 1);
         for i in 0..10u64 {
-            tr.emit(0, i, ev(i as u32));
+            emit(&mut tr, 0, i, ev(i as u32));
         }
         let ring = tr.ring(0).unwrap();
         assert_eq!(ring.len(), 4);
@@ -868,9 +1002,9 @@ mod tests {
     #[test]
     fn merged_orders_across_cpus() {
         let mut tr = Tracer::new(true, 16, 2);
-        tr.emit(0, 100, ev(0));
-        tr.emit(1, 50, ev(1));
-        tr.emit(0, 50, ev(2));
+        emit(&mut tr, 0, 100, ev(0));
+        emit(&mut tr, 1, 50, ev(1));
+        emit(&mut tr, 0, 50, ev(2));
         let order: Vec<(Cycles, u32)> = tr.merged().iter().map(|r| (r.at, r.cpu)).collect();
         assert_eq!(order, vec![(50, 0), (50, 1), (100, 0)]);
     }
@@ -880,7 +1014,8 @@ mod tests {
         let mut tr = Tracer::new(true, 64, 1);
         let t0 = ThreadId(0);
         let t1 = ThreadId(1);
-        tr.emit(
+        emit(
+            &mut tr,
             0,
             1,
             TraceEvent::SyscallExit {
@@ -889,7 +1024,8 @@ mod tests {
                 class: None,
             },
         );
-        tr.emit(
+        emit(
+            &mut tr,
             0,
             2,
             TraceEvent::CtxSwitch {
@@ -897,7 +1033,8 @@ mod tests {
                 space_switch: true,
             },
         );
-        tr.emit(
+        emit(
+            &mut tr,
             0,
             3,
             TraceEvent::Mark {
@@ -905,7 +1042,7 @@ mod tests {
                 value: 7,
             },
         );
-        tr.emit(0, 4, TraceEvent::Halt { thread: t0 });
+        emit(&mut tr, 0, 4, TraceEvent::Halt { thread: t0 });
         let uv = tr.user_visible();
         assert_eq!(
             uv[&t0],

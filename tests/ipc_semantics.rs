@@ -225,6 +225,41 @@ fn oneway_send_receive() {
     assert!(run_to_halt(&mut r.k, &[st, ct], 50_000_000));
     assert_eq!(r.k.read_mem(r.server.space, sbuf, 5), b"fluke".to_vec());
     assert_eq!(r.k.thread_regs(st).get(Reg::Eax), ErrorCode::Success as u32);
+    // One send into a waiting receiver is one message.
+    assert_eq!(r.k.stats.ipc_messages, 1);
+}
+
+/// A receiver arriving at a port where a one-way sender is already
+/// blocked (no receiver, no room) drains that sender: still one message.
+#[test]
+fn oneway_receive_drains_blocked_sender() {
+    let mut r = rig(Config::interrupt_np());
+    let sbuf = r.server.mem_base + 0x1000;
+    let cbuf = r.client.mem_base + 0x1000;
+
+    // Higher priority: the sender runs first and blocks on the port.
+    let mut a = Assembler::new("tx");
+    a.movi(ARG_HANDLE, r.h_ref);
+    a.movi(ARG_SBUF, cbuf);
+    a.movi(ARG_COUNT, 5);
+    a.sys(Sys::IpcSendOneway);
+    a.halt();
+    let ct = r.client.start(&mut r.k, a.finish(), 10);
+
+    let mut a = Assembler::new("rx");
+    a.movi(ARG_HANDLE, r.h_port);
+    a.movi(ARG_RBUF, sbuf);
+    a.movi(ARG_COUNT, 32);
+    a.sys(Sys::IpcWaitReceiveOneway);
+    a.halt();
+    let st = r.server.start(&mut r.k, a.finish(), 8);
+
+    r.k.write_mem(r.client.space, cbuf, b"fluke");
+    assert!(run_to_halt(&mut r.k, &[st, ct], 50_000_000));
+    assert_eq!(r.k.read_mem(r.server.space, sbuf, 5), b"fluke".to_vec());
+    assert_eq!(r.k.thread_regs(st).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.thread_regs(ct).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.stats.ipc_messages, 1);
 }
 
 /// `ipc_client_alert` promptly interrupts a server blocked in receive;
