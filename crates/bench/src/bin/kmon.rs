@@ -58,7 +58,6 @@ fn main() {
             .into_iter()
             .collect();
         errs.extend(observability::check_regression(&runs));
-        errs.extend(observability::check_e2e_regression(&c, &doc));
         GATE.finish(&errs);
     }
 }

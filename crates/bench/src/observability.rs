@@ -418,60 +418,6 @@ pub fn check_regression(runs: &[Observed]) -> Vec<String> {
     errors
 }
 
-/// Maximum tolerated relative growth of the kspan end-to-end p99 between
-/// the committed `BENCH_observability.json` and a fresh quick-scale run.
-pub const E2E_P99_TOLERANCE: f64 = 0.10;
-
-/// Per-config `label -> kspan e2e p99` from a report document. Configs
-/// without a kspan section (older reports) are skipped.
-fn e2e_p99s(doc: &Json) -> std::collections::BTreeMap<String, u64> {
-    let mut out = std::collections::BTreeMap::new();
-    let Some(configs) = doc.get("configs").and_then(Json::items) else {
-        return out;
-    };
-    for c in configs {
-        let (Some(label), Some(p99)) = (
-            c.get("label").and_then(Json::as_str),
-            c.get("kspan")
-                .and_then(|s| s.get("e2e"))
-                .and_then(|e| e.get("p99"))
-                .and_then(Json::as_u64),
-        ) else {
-            continue;
-        };
-        out.insert(label.to_string(), p99);
-    }
-    out
-}
-
-/// Compare a freshly generated report against the committed one: any
-/// configuration whose kspan end-to-end p99 grew by more than
-/// [`E2E_P99_TOLERANCE`] is a regression. Same-scale reports only.
-pub fn check_e2e_regression(committed: &Json, fresh: &Json) -> Vec<String> {
-    if committed.get("scale") != fresh.get("scale") {
-        // A scale change makes latencies incomparable; nothing to gate.
-        return Vec::new();
-    }
-    let want = e2e_p99s(committed);
-    let got = e2e_p99s(fresh);
-    let mut errors = Vec::new();
-    for (label, old) in &want {
-        match got.get(label) {
-            None => errors.push(format!("{label}: missing from fresh report")),
-            Some(new) => {
-                if (*new as f64) > (*old as f64) * (1.0 + E2E_P99_TOLERANCE) {
-                    errors.push(format!(
-                        "{label}: kspan e2e p99 {new} cycles exceeds committed {old} \
-                         by more than {:.0}%",
-                        E2E_P99_TOLERANCE * 100.0
-                    ));
-                }
-            }
-        }
-    }
-    errors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -134,76 +134,31 @@ impl Connection {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_enum, snap_struct};
 
-impl Snap for KernelMsg {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.bytes.snap(w);
-        w.usize(self.pos);
-        self.fault_thread.snap(w);
-        w.u64(self.raised_at);
-        w.usize(self.record);
-        self.reply.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(KernelMsg {
-            bytes: Snap::restore(r)?,
-            pos: r.usize()?,
-            fault_thread: Snap::restore(r)?,
-            raised_at: r.u64()?,
-            record: r.usize()?,
-            reply: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(KernelMsg {
+    bytes,
+    pos,
+    fault_thread,
+    raised_at,
+    record,
+    reply,
+});
 
-impl Snap for ClientEnd {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            ClientEnd::Thread(t) => {
-                w.u8(0);
-                t.snap(w);
-            }
-            ClientEnd::Kernel(m) => {
-                w.u8(1);
-                m.snap(w);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(ClientEnd::Thread(Snap::restore(r)?)),
-            1 => Ok(ClientEnd::Kernel(Snap::restore(r)?)),
-            t => Err(SnapError::BadTag {
-                what: "ClientEnd",
-                tag: t as u32,
-            }),
-        }
-    }
-}
+snap_enum!(ClientEnd {
+    0 => Thread(t),
+    1 => Kernel(m),
+});
 
-impl Snap for Connection {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.client.snap(w);
-        self.server.snap(w);
-        self.port.snap(w);
-        w.bool(self.open_c2s);
-        w.bool(self.open_s2c);
-        w.bool(self.alert_client);
-        w.bool(self.alert_server);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Connection {
-            client: Snap::restore(r)?,
-            server: Snap::restore(r)?,
-            port: Snap::restore(r)?,
-            open_c2s: r.bool()?,
-            open_s2c: r.bool()?,
-            alert_client: r.bool()?,
-            alert_server: r.bool()?,
-        })
-    }
-}
+snap_struct!(Connection {
+    client,
+    server,
+    port,
+    open_c2s,
+    open_s2c,
+    alert_client,
+    alert_server,
+});
 
 #[cfg(test)]
 mod tests {

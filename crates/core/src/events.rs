@@ -104,62 +104,15 @@ impl EventQueue {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for EventKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            EventKind::Wake(t) => {
-                w.u8(0);
-                t.snap(w);
-            }
-            EventKind::Periodic { thread, interval } => {
-                w.u8(1);
-                thread.snap(w);
-                w.u64(interval);
-            }
-            EventKind::TimesliceEnd { cpu, generation } => {
-                w.u8(2);
-                w.usize(cpu);
-                w.u64(generation);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => EventKind::Wake(Snap::restore(r)?),
-            1 => EventKind::Periodic {
-                thread: Snap::restore(r)?,
-                interval: r.u64()?,
-            },
-            2 => EventKind::TimesliceEnd {
-                cpu: r.usize()?,
-                generation: r.u64()?,
-            },
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "eventkind",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(EventKind {
+    0 => Wake(t),
+    1 => Periodic { thread, interval },
+    2 => TimesliceEnd { cpu, generation },
+});
 
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.at);
-        w.u64(self.seq);
-        self.kind.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Event {
-            at: r.u64()?,
-            seq: r.u64()?,
-            kind: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(Event { at, seq, kind });
 
 // The heap is serialized in canonical (at, seq) order — heap-internal layout
 // is host state. (at, seq) totally orders events (seq is unique), so the

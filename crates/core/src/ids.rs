@@ -147,25 +147,12 @@ mod tests {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-macro_rules! id_snap {
-    ($name:ident) => {
-        impl Snap for $name {
-            fn snap(&self, w: &mut SnapWriter) {
-                w.u32(self.0);
-            }
-            fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                Ok($name(r.u32()?))
-            }
-        }
-    };
-}
-
-id_snap!(ThreadId);
-id_snap!(SpaceId);
-id_snap!(ObjId);
-id_snap!(ConnId);
+snap_struct!(ThreadId(0));
+snap_struct!(SpaceId(0));
+snap_struct!(ObjId(0));
+snap_struct!(ConnId(0));
 
 // Arenas serialize their full slot vector, tombstones included: indices are
 // identities, so destroyed-handle holes must survive the round trip.

@@ -301,6 +301,18 @@ impl Kernel {
         self.cpus.iter().map(|c| c.cpu.now).sum()
     }
 
+    /// The first broken cross-structure invariant, if any. Checked so
+    /// far: every run-queue entry names a live Ready thread (the run loop
+    /// dispatches queue entries without re-checking them).
+    pub(crate) fn check_invariants(&self) -> Result<(), &'static str> {
+        for t in self.runqs.threads() {
+            if !self.threads.get(t.0).is_some_and(|th| th.is_ready()) {
+                return Err("run queue names a thread that is not a live Ready thread");
+            }
+        }
+        Ok(())
+    }
+
     /// True if the kernel runs the interrupt execution model.
     #[inline]
     pub fn is_interrupt_model(&self) -> bool {

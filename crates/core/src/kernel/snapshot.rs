@@ -17,8 +17,8 @@ use std::sync::Arc;
 use fluke_arch::program::{Program, ProgramId};
 
 use crate::krec::{
-    fnv64, Krec, Recording, Snap, SnapError, SnapReader, SnapWriter, Snapshot, FNV_OFFSET,
-    SNAP_MAGIC, SNAP_VERSION,
+    fnv64, snap_enum, Krec, Recording, Snap, SnapError, SnapReader, SnapWriter, Snapshot,
+    FNV_OFFSET, SNAP_MAGIC, SNAP_VERSION,
 };
 use crate::sched::ClockIndex;
 use crate::thread::Body;
@@ -30,46 +30,14 @@ use super::{CpuSlot, Kernel, LockKey};
 /// (debugger view, see [`Kernel::debug_space_map`]).
 pub type MemRun = (u32, u32, bool);
 
-impl Snap for LockKey {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            LockKey::Sched => w.u8(0),
-            LockKey::RunQueue(i) => {
-                w.u8(1);
-                w.usize(i);
-            }
-            LockKey::Handles(i) => {
-                w.u8(2);
-                w.u32(i);
-            }
-            LockKey::Space(i) => {
-                w.u8(3);
-                w.u32(i);
-            }
-            LockKey::Conn(i) => {
-                w.u8(4);
-                w.u32(i);
-            }
-            LockKey::Global => w.u8(5),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => LockKey::Sched,
-            1 => LockKey::RunQueue(r.usize()?),
-            2 => LockKey::Handles(r.u32()?),
-            3 => LockKey::Space(r.u32()?),
-            4 => LockKey::Conn(r.u32()?),
-            5 => LockKey::Global,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "lockkey",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(LockKey {
+    0 => Sched,
+    1 => RunQueue(i),
+    2 => Handles(i),
+    3 => Space(i),
+    4 => Conn(i),
+    5 => Global,
+});
 
 // A CPU slot is encoded with its parked bit last. The bit lives in the
 // kernel's CPU-clock index, so the slot list is coded by the kernel.
@@ -203,8 +171,9 @@ impl Kernel {
 
     /// Rebuild a kernel from a snapshot image: verify magic, version and
     /// digest trailer, decode every field, validate the configuration and
-    /// every lock key, rebuild derived indices, and re-resolve each
-    /// thread's program text from its [`ProgramId`].
+    /// every lock key, rebuild derived indices, re-resolve each thread's
+    /// program text from its [`ProgramId`], and run
+    /// `Kernel::check_invariants`.
     pub fn restore_from(bytes: &[u8]) -> Result<Kernel, SnapError> {
         if bytes.len() < SNAP_MAGIC.len() + 4 + 8 {
             return Err(SnapError::Truncated);
@@ -236,14 +205,8 @@ impl Kernel {
         let spaces = Snap::restore(&mut r)?;
         let objects = Snap::restore(&mut r)?;
         let conns = Snap::restore(&mut r)?;
-        let programs = {
-            let n = r.usize()?;
-            let mut v = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                v.push(Arc::new(Program::restore(&mut r)?));
-            }
-            v
-        };
+        let programs: Vec<Program> = Snap::restore(&mut r)?;
+        let programs = programs.into_iter().map(Arc::new).collect();
         let phys = Snap::restore(&mut r)?;
         let runqs = Snap::restore(&mut r)?;
         let events = Snap::restore(&mut r)?;
@@ -314,6 +277,7 @@ impl Kernel {
                 t.text = Some(text);
             }
         }
+        k.check_invariants().map_err(SnapError::Invalid)?;
         Ok(k)
     }
 
@@ -509,6 +473,27 @@ mod tests {
         assert_eq!(
             Kernel::restore_from(&bytes).err(),
             Some(SnapError::Invalid("kernel configuration"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_run_queue_naming_a_thread_that_is_not_ready() {
+        let mut k = Kernel::new(Config::process_pp().with_cpus(2));
+        let space = k.create_space();
+        let mut a = fluke_arch::Assembler::new("halt");
+        a.halt();
+        let pid = k.register_program(a.finish());
+        let t = k.spawn_thread(space, pid, fluke_arch::UserRegs::new(), 8);
+        assert_eq!(k.run(None), super::super::RunExit::AllHalted);
+        assert!(k.thread_halted(t));
+        let clean = k.snapshot_bytes().unwrap();
+        assert!(Kernel::restore_from(&clean).is_ok());
+        k.runqs.push(1, t, 8);
+        assert_eq!(
+            Kernel::restore_from(&k.snapshot_bytes().unwrap()).err(),
+            Some(SnapError::Invalid(
+                "run queue names a thread that is not a live Ready thread"
+            ))
         );
     }
 

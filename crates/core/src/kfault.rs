@@ -367,22 +367,13 @@ impl Kernel {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::snap_struct;
 
-impl Snap for Kfault {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.cfg.snap(w);
-        w.u64(self.sites_seen);
-        w.bool(self.fired);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Kfault {
-            cfg: Snap::restore(r)?,
-            sites_seen: r.u64()?,
-            fired: r.bool()?,
-        })
-    }
-}
+snap_struct!(Kfault {
+    cfg,
+    sites_seen,
+    fired,
+});
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,22 @@
 //! state ([`Krec`] itself, including the `Config::krec` arming) is *never*
 //! encoded, so a recording kernel and its replayed twin produce equal
 //! digests.
+//!
+//! # Codec
+//!
+//! Each snapshot type writes its field list once. `snap_struct!` and
+//! `snap_enum!` generate both halves of [`Snap`] from one list: the list
+//! order is the encode order, a field rebuilt after decode is named with
+//! its value (`text: None`) and not encoded, and an enum writes a `u8` tag
+//! and rejects every tag it does not list with [`SnapError::BadTag`].
+//! Hand-written impls remain only where they carry logic: the primitives
+//! and generic containers below; the lookup-table enums (`Reg`, `Sys`,
+//! `SysClass`, `ObjType`, `ErrorCode`, `KfaultKind`), which code through
+//! their own tables; and the impls that use a custom layout, validate
+//! input or rebuild a derived index (`BufferedMsg`, `TraceRing`,
+//! `PerSysCounts`, `ReadyQueue`, `PerCpuQueues`, `ObjectTable`, `MapIndex`,
+//! `Tlb`, `PhysMem`, `EventQueue`, `WaitQueue`, `Program`, `Cpu`,
+//! `KfaultConfig`, `Arena`).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
@@ -355,6 +371,100 @@ pub trait Snap: Sized {
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
 
+/// Implement [`Snap`] for a struct from one field list. The list order is
+/// the encode order, and every field appears exactly once:
+///
+/// - `field` is coded by its type's own [`Snap`] impl;
+/// - `field: expr` is not encoded; decode rebuilds it as `expr`;
+/// - `field => (snap_fn, restore_fn)` is coded by a function pair,
+///   `snap_fn(&self.field, w)` and `restore_fn(r)?`.
+///
+/// A tuple struct lists its field indices: `snap_struct!(ProgramId(0))`.
+macro_rules! snap_struct {
+    (@snap $s:ident $w:ident $f:tt) => {
+        $crate::krec::Snap::snap(&$s.$f, $w)
+    };
+    (@snap $s:ident $w:ident $f:tt : $val:expr) => {};
+    (@snap $s:ident $w:ident $f:tt => ($enc:expr, $dec:expr)) => {
+        $enc(&$s.$f, $w)
+    };
+    (@restore $r:ident $f:tt) => {
+        $crate::krec::Snap::restore($r)?
+    };
+    (@restore $r:ident $f:tt : $val:expr) => {
+        $val
+    };
+    (@restore $r:ident $f:tt => ($enc:expr, $dec:expr)) => {
+        $dec($r)?
+    };
+    ($T:ident ($($i:tt),* $(,)?)) => {
+        impl $crate::krec::Snap for $T {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                $($crate::krec::snap_struct!(@snap self w $i);)*
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                Ok($T($($crate::krec::snap_struct!(@restore r $i)),*))
+            }
+        }
+    };
+    ($T:ident { $($f:ident $(: $val:expr)? $(=> ($enc:expr, $dec:expr))?),* $(,)? }) => {
+        impl $crate::krec::Snap for $T {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                $($crate::krec::snap_struct!(@snap self w $f $(: $val)? $(=> ($enc, $dec))?);)*
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                Ok($T {
+                    $($f: $crate::krec::snap_struct!(@restore r $f $(: $val)? $(=> ($enc, $dec))?),)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use snap_struct;
+
+/// Implement [`Snap`] for an enum from one variant list: each variant is
+/// written as a `u8` tag followed by its fields in list order. Decoding any
+/// tag the list does not name is a [`SnapError::BadTag`] carrying the type
+/// name. Fields are bound by name, so tuple variants name theirs too:
+/// `snap_enum!(E { 0 => Unit, 1 => Tuple(a, b), 2 => Struct { x, y } })`.
+macro_rules! snap_enum {
+    ($T:ident { $($tag:literal => $V:ident $(($($a:ident),*))? $({ $($f:ident),* })?),* $(,)? }) => {
+        impl $crate::krec::Snap for $T {
+            fn snap(&self, w: &mut $crate::krec::SnapWriter) {
+                match self {
+                    $($T::$V $(($($a),*))? $({ $($f),* })? => {
+                        w.u8($tag);
+                        $($($crate::krec::Snap::snap($a, w);)*)?
+                        $($($crate::krec::Snap::snap($f, w);)*)?
+                    })*
+                }
+            }
+            fn restore(
+                r: &mut $crate::krec::SnapReader<'_>,
+            ) -> Result<Self, $crate::krec::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $a = $crate::krec::Snap::restore(r)?;)*)?
+                        $($(let $f = $crate::krec::Snap::restore(r)?;)*)?
+                        $T::$V $(($($a),*))? $({ $($f),* })?
+                    })*
+                    t => {
+                        return Err($crate::krec::SnapError::BadTag {
+                            what: stringify!($T),
+                            tag: t as u32,
+                        })
+                    }
+                })
+            }
+        }
+    };
+}
+pub(crate) use snap_enum;
+
 macro_rules! snap_prim {
     ($ty:ty, $wm:ident, $rm:ident) => {
         impl Snap for $ty {
@@ -446,15 +556,6 @@ impl<T: Snap> Snap for VecDeque<T> {
             out.push_back(T::restore(r)?);
         }
         Ok(out)
-    }
-}
-
-impl<T: Snap> Snap for Box<T> {
-    fn snap(&self, w: &mut SnapWriter) {
-        (**self).snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Box::new(T::restore(r)?))
     }
 }
 
@@ -573,213 +674,51 @@ impl Snap for Reg {
     }
 }
 
-impl Snap for Cond {
-    fn snap(&self, w: &mut SnapWriter) {
-        let t = match self {
-            Cond::Always => 0u8,
-            Cond::Eq => 1,
-            Cond::Ne => 2,
-            Cond::Lt => 3,
-            Cond::Ge => 4,
-        };
-        w.u8(t);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Cond::Always,
-            1 => Cond::Eq,
-            2 => Cond::Ne,
-            3 => Cond::Lt,
-            4 => Cond::Ge,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "cond",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(Cond {
+    0 => Always,
+    1 => Eq,
+    2 => Ne,
+    3 => Lt,
+    4 => Ge,
+});
 
-impl Snap for Instr {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            Instr::MovI(a, b) => {
-                w.u8(0);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Mov(a, b) => {
-                w.u8(1);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::Add(a, b) => {
-                w.u8(2);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::AddI(a, b) => {
-                w.u8(3);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Sub(a, b) => {
-                w.u8(4);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::SubI(a, b) => {
-                w.u8(5);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Mul(a, b) => {
-                w.u8(6);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::Xor(a, b) => {
-                w.u8(7);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::AndI(a, b) => {
-                w.u8(8);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::ShrI(a, b) => {
-                w.u8(9);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::ShlI(a, b) => {
-                w.u8(10);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Cmp(a, b) => {
-                w.u8(11);
-                a.snap(w);
-                b.snap(w);
-            }
-            Instr::CmpI(a, b) => {
-                w.u8(12);
-                a.snap(w);
-                w.u32(b);
-            }
-            Instr::Jmp(c, t) => {
-                w.u8(13);
-                c.snap(w);
-                w.u32(t);
-            }
-            Instr::Load(a, b, o) => {
-                w.u8(14);
-                a.snap(w);
-                b.snap(w);
-                o.snap(w);
-            }
-            Instr::Store(b, o, s) => {
-                w.u8(15);
-                b.snap(w);
-                o.snap(w);
-                s.snap(w);
-            }
-            Instr::LoadB(a, b, o) => {
-                w.u8(16);
-                a.snap(w);
-                b.snap(w);
-                o.snap(w);
-            }
-            Instr::StoreB(b, o, s) => {
-                w.u8(17);
-                b.snap(w);
-                o.snap(w);
-                s.snap(w);
-            }
-            Instr::Push(a) => {
-                w.u8(18);
-                a.snap(w);
-            }
-            Instr::Pop(a) => {
-                w.u8(19);
-                a.snap(w);
-            }
-            Instr::RepMovsB => w.u8(20),
-            Instr::RepStosB => w.u8(21),
-            Instr::Syscall => w.u8(22),
-            Instr::Compute(n) => {
-                w.u8(23);
-                w.u32(n);
-            }
-            Instr::Halt => w.u8(24),
-            Instr::Nop => w.u8(25),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Instr::MovI(Reg::restore(r)?, r.u32()?),
-            1 => Instr::Mov(Reg::restore(r)?, Reg::restore(r)?),
-            2 => Instr::Add(Reg::restore(r)?, Reg::restore(r)?),
-            3 => Instr::AddI(Reg::restore(r)?, r.u32()?),
-            4 => Instr::Sub(Reg::restore(r)?, Reg::restore(r)?),
-            5 => Instr::SubI(Reg::restore(r)?, r.u32()?),
-            6 => Instr::Mul(Reg::restore(r)?, Reg::restore(r)?),
-            7 => Instr::Xor(Reg::restore(r)?, Reg::restore(r)?),
-            8 => Instr::AndI(Reg::restore(r)?, r.u32()?),
-            9 => Instr::ShrI(Reg::restore(r)?, r.u32()?),
-            10 => Instr::ShlI(Reg::restore(r)?, r.u32()?),
-            11 => Instr::Cmp(Reg::restore(r)?, Reg::restore(r)?),
-            12 => Instr::CmpI(Reg::restore(r)?, r.u32()?),
-            13 => Instr::Jmp(Cond::restore(r)?, r.u32()?),
-            14 => Instr::Load(Reg::restore(r)?, Reg::restore(r)?, i32::restore(r)?),
-            15 => Instr::Store(Reg::restore(r)?, i32::restore(r)?, Reg::restore(r)?),
-            16 => Instr::LoadB(Reg::restore(r)?, Reg::restore(r)?, i32::restore(r)?),
-            17 => Instr::StoreB(Reg::restore(r)?, i32::restore(r)?, Reg::restore(r)?),
-            18 => Instr::Push(Reg::restore(r)?),
-            19 => Instr::Pop(Reg::restore(r)?),
-            20 => Instr::RepMovsB,
-            21 => Instr::RepStosB,
-            22 => Instr::Syscall,
-            23 => Instr::Compute(r.u32()?),
-            24 => Instr::Halt,
-            25 => Instr::Nop,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "instr",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(Instr {
+    0 => MovI(a, b),
+    1 => Mov(a, b),
+    2 => Add(a, b),
+    3 => AddI(a, b),
+    4 => Sub(a, b),
+    5 => SubI(a, b),
+    6 => Mul(a, b),
+    7 => Xor(a, b),
+    8 => AndI(a, b),
+    9 => ShrI(a, b),
+    10 => ShlI(a, b),
+    11 => Cmp(a, b),
+    12 => CmpI(a, b),
+    13 => Jmp(c, t),
+    14 => Load(a, b, o),
+    15 => Store(b, o, s),
+    16 => LoadB(a, b, o),
+    17 => StoreB(b, o, s),
+    18 => Push(a),
+    19 => Pop(a),
+    20 => RepMovsB,
+    21 => RepStosB,
+    22 => Syscall,
+    23 => Compute(n),
+    24 => Halt,
+    25 => Nop,
+});
 
-impl Snap for UserRegs {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.gpr.snap(w);
-        w.u32(self.eip);
-        w.u32(self.eflags);
-        self.pr.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(UserRegs {
-            gpr: Snap::restore(r)?,
-            eip: r.u32()?,
-            eflags: r.u32()?,
-            pr: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(UserRegs {
+    gpr,
+    eip,
+    eflags,
+    pr
+});
 
-impl Snap for ProgramId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ProgramId(r.u64()?))
-    }
-}
+snap_struct!(ProgramId(0));
 
 impl Snap for Program {
     fn snap(&self, w: &mut SnapWriter) {
@@ -790,13 +729,7 @@ impl Snap for Program {
         }
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let name = r.str()?;
-        let n = r.usize()?;
-        let mut instrs = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            instrs.push(Instr::restore(r)?);
-        }
-        Ok(Program::new(name, instrs))
+        Ok(Program::new(r.str()?, Vec::restore(r)?))
     }
 }
 
@@ -806,84 +739,43 @@ impl Snap for Cpu {
         w.u64(self.now);
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let id = r.usize()?;
-        let now = r.u64()?;
-        let mut c = Cpu::new(id);
-        c.now = now;
+        let mut c = Cpu::new(r.usize()?);
+        c.now = r.u64()?;
         Ok(c)
     }
 }
 
-impl Snap for CostModel {
-    fn snap(&self, w: &mut SnapWriter) {
-        for v in [
-            self.user_instr,
-            self.user_string_byte_per,
-            self.hw_trap_enter,
-            self.hw_trap_exit,
-            self.sw_entry_common,
-            self.interrupt_entry_extra,
-            self.interrupt_exit_extra,
-            self.ctx_switch_base,
-            self.ctx_switch_kernel_regs,
-            self.addr_space_switch,
-            self.copy_byte_per,
-            self.ipc_setup,
-            self.klock_acquire,
-            self.klock_release,
-            self.mp_lock_acquire,
-            self.mp_lock_release,
-            self.tlb_shootdown_ipi,
-            self.tlb_shootdown_ack,
-            self.schedule_op,
-            self.soft_fault_resolve,
-            self.server_fault_extra,
-            self.hard_fault_kernel,
-            self.object_create,
-            self.object_destroy,
-            self.object_op,
-            self.region_search_page,
-            self.preempt_check,
-            self.timer_irq,
-            self.timeslice,
-        ] {
-            w.u64(v);
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CostModel {
-            user_instr: r.u64()?,
-            user_string_byte_per: r.u64()?,
-            hw_trap_enter: r.u64()?,
-            hw_trap_exit: r.u64()?,
-            sw_entry_common: r.u64()?,
-            interrupt_entry_extra: r.u64()?,
-            interrupt_exit_extra: r.u64()?,
-            ctx_switch_base: r.u64()?,
-            ctx_switch_kernel_regs: r.u64()?,
-            addr_space_switch: r.u64()?,
-            copy_byte_per: r.u64()?,
-            ipc_setup: r.u64()?,
-            klock_acquire: r.u64()?,
-            klock_release: r.u64()?,
-            mp_lock_acquire: r.u64()?,
-            mp_lock_release: r.u64()?,
-            tlb_shootdown_ipi: r.u64()?,
-            tlb_shootdown_ack: r.u64()?,
-            schedule_op: r.u64()?,
-            soft_fault_resolve: r.u64()?,
-            server_fault_extra: r.u64()?,
-            hard_fault_kernel: r.u64()?,
-            object_create: r.u64()?,
-            object_destroy: r.u64()?,
-            object_op: r.u64()?,
-            region_search_page: r.u64()?,
-            preempt_check: r.u64()?,
-            timer_irq: r.u64()?,
-            timeslice: r.u64()?,
-        })
-    }
-}
+snap_struct!(CostModel {
+    user_instr,
+    user_string_byte_per,
+    hw_trap_enter,
+    hw_trap_exit,
+    sw_entry_common,
+    interrupt_entry_extra,
+    interrupt_exit_extra,
+    ctx_switch_base,
+    ctx_switch_kernel_regs,
+    addr_space_switch,
+    copy_byte_per,
+    ipc_setup,
+    klock_acquire,
+    klock_release,
+    mp_lock_acquire,
+    mp_lock_release,
+    tlb_shootdown_ipi,
+    tlb_shootdown_ack,
+    schedule_op,
+    soft_fault_resolve,
+    server_fault_extra,
+    hard_fault_kernel,
+    object_create,
+    object_destroy,
+    object_op,
+    region_search_page,
+    preempt_check,
+    timer_irq,
+    timeslice,
+});
 
 impl Snap for Sys {
     fn snap(&self, w: &mut SnapWriter) {
@@ -944,62 +836,21 @@ impl Snap for ErrorCode {
 // Config
 // ---------------------------------------------------------------------------
 
-impl Snap for ExecModel {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ExecModel::Process => 0,
-            ExecModel::Interrupt => 1,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => ExecModel::Process,
-            1 => ExecModel::Interrupt,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "execmodel",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(ExecModel {
+    0 => Process,
+    1 => Interrupt,
+});
 
-impl Snap for Preemption {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            Preemption::None => 0,
-            Preemption::Partial => 1,
-            Preemption::Full => 2,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Preemption::None,
-            1 => Preemption::Partial,
-            2 => Preemption::Full,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "preemption",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(Preemption {
+    0 => None,
+    1 => Partial,
+    2 => Full,
+});
 
-impl Snap for TraceConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        w.usize(self.ring_capacity);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TraceConfig {
-            enabled: r.bool()?,
-            ring_capacity: r.usize()?,
-        })
-    }
-}
+snap_struct!(TraceConfig {
+    enabled,
+    ring_capacity,
+});
 
 impl Snap for KfaultKind {
     fn snap(&self, w: &mut SnapWriter) {
@@ -1023,9 +874,7 @@ impl Snap for KfaultConfig {
         w.u64(self.site);
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let kind = KfaultKind::restore(r)?;
-        let site = r.u64()?;
-        Ok(KfaultConfig::at(kind, site))
+        Ok(KfaultConfig::at(KfaultKind::restore(r)?, r.u64()?))
     }
 }
 
@@ -1062,9 +911,22 @@ pub(crate) fn intern_static(s: String) -> &'static str {
     leaked
 }
 
-/// Intern a `kspan` class name: entrypoint names come from the static
-/// [`fluke_api::SYSCALLS`] table; `"invalid"` is the bad-entrypoint class.
-pub(crate) fn intern_class(s: &str) -> Result<&'static str, SnapError> {
+/// Encode a `&'static str` field as a plain string: the encode half of
+/// the config-label and kspan-class codec pairs.
+pub(crate) fn snap_static_str(s: &&'static str, w: &mut SnapWriter) {
+    w.str(s);
+}
+
+/// Decode a config label written by [`snap_static_str`].
+fn restore_label(r: &mut SnapReader<'_>) -> Result<&'static str, SnapError> {
+    Ok(intern_static(r.str()?))
+}
+
+/// Decode a `kspan` class name written by [`snap_static_str`]: entrypoint
+/// names come from the static [`fluke_api::SYSCALLS`] table; `"invalid"`
+/// is the bad-entrypoint class.
+pub(crate) fn restore_class(r: &mut SnapReader<'_>) -> Result<&'static str, SnapError> {
+    let s = r.str()?;
     if s == "invalid" {
         return Ok("invalid");
     }
@@ -1075,48 +937,26 @@ pub(crate) fn intern_class(s: &str) -> Result<&'static str, SnapError> {
         .ok_or(SnapError::UnknownClass)
 }
 
-impl Snap for Config {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.model.snap(w);
-        self.preempt.snap(w);
-        w.usize(self.num_cpus);
-        w.u32(self.kstack_bytes);
-        w.u32(self.tcb_bytes);
-        w.u64(self.timeslice);
-        self.trace.snap(w);
-        w.bool(self.kprof);
-        w.bool(self.kspan);
-        w.bool(self.fast_mem);
-        self.kfault.snap(w);
-        w.bool(self.big_lock);
-        w.str(self.label);
-        // `krec` is deliberately not encoded: the recorder is host-side
-        // state, and a recording kernel must digest-match its replayed twin
-        // (whose config never arms krec).
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Config {
-            model: Snap::restore(r)?,
-            preempt: Snap::restore(r)?,
-            num_cpus: r.usize()?,
-            kstack_bytes: r.u32()?,
-            tcb_bytes: r.u32()?,
-            timeslice: r.u64()?,
-            trace: Snap::restore(r)?,
-            kprof: r.bool()?,
-            kspan: r.bool()?,
-            fast_mem: r.bool()?,
-            kfault: Snap::restore(r)?,
-            big_lock: r.bool()?,
-            label: intern_static(r.str()?),
-            krec: None,
-            // `flowcheck`, like `krec`, is host-side observability and is
-            // not part of the snapshot contract: a restored twin boots
-            // with the checker off and digest-matches either way.
-            flowcheck: false,
-        })
-    }
-}
+// `krec` and `flowcheck` are host-side and deliberately not encoded: a
+// recording or checked kernel must digest-match its restored twin, which
+// boots with both off.
+snap_struct!(Config {
+    model,
+    preempt,
+    num_cpus,
+    kstack_bytes,
+    tcb_bytes,
+    timeslice,
+    trace,
+    kprof,
+    kspan,
+    fast_mem,
+    kfault,
+    big_lock,
+    label => (snap_static_str, restore_label),
+    krec: None,
+    flowcheck: false,
+});
 
 // ---------------------------------------------------------------------------
 // Recorder configuration and state
@@ -1659,6 +1499,290 @@ mod tests {
         let mut r = SnapReader::new(&bytes[..bytes.len() - 8]);
         let back = Cpu::restore(&mut r).unwrap();
         assert_eq!((back.id, back.now), (2, 12345));
+    }
+
+    /// One `snap_enum!` type's tag table: `samples` cover every tag the
+    /// decoder accepts, each once, and round-trip byte-identically; every
+    /// other tag, the first unlisted one included, is a `BadTag` naming
+    /// the type.
+    fn check_tags<T: Snap>(what: &'static str, samples: &[T]) {
+        let mut listed = [false; 256];
+        for v in samples {
+            let mut w = SnapWriter::new();
+            v.snap(&mut w);
+            let bytes = w.finish();
+            let body = &bytes[..bytes.len() - 8];
+            let mut r = SnapReader::new(body);
+            let back = T::restore(&mut r).unwrap_or_else(|e| panic!("{what}: {e}"));
+            r.expect_end().unwrap();
+            let mut w2 = SnapWriter::new();
+            back.snap(&mut w2);
+            assert_eq!(w2.finish(), bytes, "{what} tag {} re-encodes", body[0]);
+            assert!(!listed[body[0] as usize], "{what}: tag {} twice", body[0]);
+            listed[body[0] as usize] = true;
+        }
+        for tag in 0..=255u8 {
+            let got = T::restore(&mut SnapReader::new(&[tag])).err();
+            let bad = Some(SnapError::BadTag {
+                what,
+                tag: tag as u32,
+            });
+            assert_eq!(
+                got == bad,
+                !listed[tag as usize],
+                "{what} tag {tag}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_snap_enum_tag_round_trips_and_the_rest_are_bad_tags() {
+        use crate::conn::{ClientEnd, KernelMsg};
+        use crate::events::EventKind;
+        use crate::ids::{ConnId, ObjId, SpaceId, ThreadId};
+        use crate::kernel::LockKey;
+        use crate::kspan::Seg;
+        use crate::kstat::{FaultKind, FaultSide};
+        use crate::object::ObjData;
+        use crate::thread::{IpcRole, RunState, WaitReason};
+        use crate::trace::TraceEvent;
+        use crate::waitq::WaitQueue;
+        use Reg::{Eax as A, Ecx as C};
+
+        let (o, c, t, s) = (ObjId(3), ConnId(4), ThreadId(5), SpaceId(6));
+        check_tags(
+            "Cond",
+            &[Cond::Always, Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge],
+        );
+        check_tags(
+            "Instr",
+            &[
+                Instr::MovI(A, 7),
+                Instr::Mov(A, C),
+                Instr::Add(A, C),
+                Instr::AddI(A, 1),
+                Instr::Sub(A, C),
+                Instr::SubI(A, 2),
+                Instr::Mul(A, C),
+                Instr::Xor(A, C),
+                Instr::AndI(A, 3),
+                Instr::ShrI(A, 4),
+                Instr::ShlI(A, 5),
+                Instr::Cmp(A, C),
+                Instr::CmpI(A, 6),
+                Instr::Jmp(Cond::Ne, 12),
+                Instr::Load(A, C, -4),
+                Instr::Store(C, 8, A),
+                Instr::LoadB(A, C, 1),
+                Instr::StoreB(C, -1, A),
+                Instr::Push(A),
+                Instr::Pop(C),
+                Instr::RepMovsB,
+                Instr::RepStosB,
+                Instr::Syscall,
+                Instr::Compute(99),
+                Instr::Halt,
+                Instr::Nop,
+            ],
+        );
+        check_tags("ExecModel", &[ExecModel::Process, ExecModel::Interrupt]);
+        check_tags(
+            "Preemption",
+            &[Preemption::None, Preemption::Partial, Preemption::Full],
+        );
+        check_tags("IpcRole", &[IpcRole::Client, IpcRole::Server]);
+        let reasons = [
+            WaitReason::Mutex(o),
+            WaitReason::Cond(o),
+            WaitReason::PortWait(o),
+            WaitReason::PsetWait(o),
+            WaitReason::IpcConnect(o),
+            WaitReason::IpcSend(c),
+            WaitReason::IpcReceive(c),
+            WaitReason::OnewaySend(o),
+            WaitReason::OnewayReceive(o),
+            WaitReason::PagerReply(c),
+            WaitReason::Join(t),
+            WaitReason::Sleep,
+            WaitReason::SpaceIdle(s),
+            WaitReason::Donate(t),
+        ];
+        check_tags("WaitReason", &reasons);
+        check_tags(
+            "RunState",
+            &[
+                RunState::Stopped,
+                RunState::Ready,
+                RunState::Running(2),
+                RunState::Blocked(WaitReason::Join(t)),
+                RunState::Halted,
+            ],
+        );
+        check_tags(
+            "ObjData",
+            &[
+                ObjData::Mutex {
+                    locked: true,
+                    waiters: WaitQueue::new(),
+                },
+                ObjData::Cond {
+                    waiters: WaitQueue::new(),
+                },
+                ObjData::Mapping {
+                    space: s,
+                    base: 0x1000,
+                    size: 0x2000,
+                    region: o,
+                    offset: 16,
+                    region_token: 7,
+                    writable: true,
+                },
+                ObjData::Region {
+                    owner: s,
+                    base: 0x4000,
+                    size: 0x1000,
+                    keeper: Some(o),
+                    keeper_token: 8,
+                    self_token: 9,
+                },
+                ObjData::Port {
+                    pset: None,
+                    pset_token: 0,
+                    connect_q: WaitQueue::new(),
+                    server_q: WaitQueue::new(),
+                    oneway_senders: WaitQueue::new(),
+                    oneway_receivers: WaitQueue::new(),
+                    buffered: VecDeque::new(),
+                },
+                ObjData::Pset {
+                    members: vec![o],
+                    server_q: WaitQueue::new(),
+                },
+                ObjData::Space(s),
+                ObjData::Thread(t),
+                ObjData::Ref {
+                    target: Some(o),
+                    target_token: 10,
+                },
+            ],
+        );
+        let class = Some(SysClass::ALL[1]);
+        check_tags(
+            "TraceEvent",
+            &[
+                TraceEvent::SyscallEnter {
+                    thread: t,
+                    sys: 1,
+                    class,
+                },
+                TraceEvent::SyscallRestart {
+                    thread: t,
+                    sys: 2,
+                    class: None,
+                },
+                TraceEvent::SyscallExit {
+                    thread: t,
+                    code: 3,
+                    class,
+                },
+                TraceEvent::IpcSend {
+                    thread: t,
+                    bytes: 4,
+                },
+                TraceEvent::IpcReceive {
+                    thread: t,
+                    window: 5,
+                },
+                TraceEvent::IpcTransfer {
+                    thread: t,
+                    bytes: 6,
+                },
+                TraceEvent::IpcMessage { thread: t },
+                TraceEvent::SoftFault {
+                    thread: t,
+                    addr: 7,
+                    remedy: 8,
+                },
+                TraceEvent::HardFault {
+                    thread: t,
+                    offset: 9,
+                },
+                TraceEvent::HardFaultDone {
+                    thread: t,
+                    remedy: 10,
+                },
+                TraceEvent::Rollback {
+                    thread: t,
+                    cycles: 11,
+                },
+                TraceEvent::CtxSwitch {
+                    thread: t,
+                    space_switch: true,
+                },
+                TraceEvent::UserPreempt { thread: t },
+                TraceEvent::KernelPreempt { thread: t },
+                TraceEvent::Block { thread: t },
+                TraceEvent::Wake { thread: t },
+                TraceEvent::Halt { thread: t },
+                TraceEvent::Mark {
+                    thread: t,
+                    value: 12,
+                },
+                TraceEvent::FaultInjected {
+                    thread: t,
+                    kind: 1,
+                    site: 13,
+                },
+            ],
+        );
+        check_tags(
+            "FaultSide",
+            &[FaultSide::Client, FaultSide::Server, FaultSide::Other],
+        );
+        check_tags("FaultKind", &[FaultKind::Soft, FaultKind::Hard]);
+        check_tags(
+            "Seg",
+            &[Seg::OnCpu, Seg::Runnable, Seg::Blocked(WaitReason::Sleep)],
+        );
+        check_tags(
+            "ClientEnd",
+            &[
+                ClientEnd::Thread(t),
+                ClientEnd::Kernel(KernelMsg {
+                    bytes: vec![1, 2],
+                    pos: 1,
+                    fault_thread: t,
+                    raised_at: 14,
+                    record: 0,
+                    reply: Vec::new(),
+                }),
+            ],
+        );
+        check_tags(
+            "EventKind",
+            &[
+                EventKind::Wake(t),
+                EventKind::Periodic {
+                    thread: t,
+                    interval: 15,
+                },
+                EventKind::TimesliceEnd {
+                    cpu: 1,
+                    generation: 16,
+                },
+            ],
+        );
+        check_tags(
+            "LockKey",
+            &[
+                LockKey::Sched,
+                LockKey::RunQueue(1),
+                LockKey::Handles(2),
+                LockKey::Space(3),
+                LockKey::Conn(4),
+                LockKey::Global,
+            ],
+        );
     }
 
     #[test]

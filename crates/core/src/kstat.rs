@@ -687,68 +687,27 @@ impl Kernel {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for FaultSide {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FaultSide::Client => 0,
-            FaultSide::Server => 1,
-            FaultSide::Other => 2,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(FaultSide::Client),
-            1 => Ok(FaultSide::Server),
-            2 => Ok(FaultSide::Other),
-            t => Err(SnapError::BadTag {
-                what: "FaultSide",
-                tag: t as u32,
-            }),
-        }
-    }
-}
+snap_enum!(FaultSide {
+    0 => Client,
+    1 => Server,
+    2 => Other,
+});
 
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            FaultKind::Soft => 0,
-            FaultKind::Hard => 1,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(FaultKind::Soft),
-            1 => Ok(FaultKind::Hard),
-            t => Err(SnapError::BadTag {
-                what: "FaultKind",
-                tag: t as u32,
-            }),
-        }
-    }
-}
+snap_enum!(FaultKind {
+    0 => Soft,
+    1 => Hard,
+});
 
-impl Snap for FaultRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.side.snap(w);
-        self.kind.snap(w);
-        w.u64(self.remedy_cycles);
-        w.u64(self.rollback_cycles);
-        w.bool(self.during_ipc);
-        w.u64(self.at);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultRecord {
-            side: Snap::restore(r)?,
-            kind: Snap::restore(r)?,
-            remedy_cycles: r.u64()?,
-            rollback_cycles: r.u64()?,
-            during_ipc: r.bool()?,
-            at: r.u64()?,
-        })
-    }
-}
+snap_struct!(FaultRecord {
+    side,
+    kind,
+    remedy_cycles,
+    rollback_cycles,
+    during_ipc,
+    at,
+});
 
 impl Snap for PerSysCounts {
     fn snap(&self, w: &mut SnapWriter) {
@@ -763,122 +722,60 @@ impl Snap for PerSysCounts {
     }
 }
 
-impl Snap for MemGauges {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.live_threads);
-        w.u64(self.tcb_bytes);
-        w.u64(self.kstacks_bytes);
-        w.u64(self.retained_kstack_bytes);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemGauges {
-            live_threads: r.u64()?,
-            tcb_bytes: r.u64()?,
-            kstacks_bytes: r.u64()?,
-            retained_kstack_bytes: r.u64()?,
-        })
-    }
-}
+snap_struct!(MemGauges {
+    live_threads,
+    tcb_bytes,
+    kstacks_bytes,
+    retained_kstack_bytes,
+});
 
-impl Snap for Stats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.syscalls);
-        w.u64(self.restarts);
-        self.per_sys.snap(w);
-        w.u64(self.ctx_switches);
-        w.u64(self.space_switches);
-        w.u64(self.soft_faults);
-        w.u64(self.hard_faults);
-        w.u64(self.fatal_faults);
-        self.faults_injected.snap(w);
-        w.u64(self.user_cycles);
-        w.u64(self.kernel_cycles);
-        w.u64(self.idle_cycles);
-        w.u64(self.rollback_cycles);
-        w.u64(self.klock_cycles);
-        w.u64(self.klock_wait_cycles);
-        w.u64(self.ipc_bytes);
-        w.u64(self.ipc_messages);
-        w.u64(self.preempt_points_taken);
-        w.u64(self.kernel_preemptions);
-        w.u64(self.user_preemptions);
-        self.probe_hist.snap(w);
-        w.u64(self.probe_runs);
-        w.u64(self.probe_misses);
-        self.fault_records.snap(w);
-        w.u64(self.thread_kmem);
-        w.u64(self.thread_kmem_peak);
-        w.u64(self.threads_created);
-        w.u64(self.objects_created);
-        self.trace_log.snap(w);
-        self.tlb_retired.snap(w);
-        w.u64(self.sched_pushes);
-        w.u64(self.sched_steals);
-        w.u64(self.sched_steal_attempts);
-        w.u64(self.sched_ipis);
-        w.u64(self.runq_wait_cycles);
-        w.u64(self.runq_waits);
-        w.u64(self.tlb_shootdown_ipis);
-        w.u64(self.tlb_shootdown_cycles);
-        self.waitq.snap(w);
-        w.u64(self.port_lookups);
-        w.u64(self.port_ref_chases);
-        w.u64(self.conn_unlinks_fast);
-        w.u64(self.ipc_submit_buffered);
-        w.u64(self.ipc_submit_ops);
-        w.u64(self.ipc_submit_batches);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Stats {
-            syscalls: r.u64()?,
-            restarts: r.u64()?,
-            per_sys: Snap::restore(r)?,
-            ctx_switches: r.u64()?,
-            space_switches: r.u64()?,
-            soft_faults: r.u64()?,
-            hard_faults: r.u64()?,
-            fatal_faults: r.u64()?,
-            faults_injected: Snap::restore(r)?,
-            user_cycles: r.u64()?,
-            kernel_cycles: r.u64()?,
-            idle_cycles: r.u64()?,
-            rollback_cycles: r.u64()?,
-            klock_cycles: r.u64()?,
-            klock_wait_cycles: r.u64()?,
-            ipc_bytes: r.u64()?,
-            ipc_messages: r.u64()?,
-            preempt_points_taken: r.u64()?,
-            kernel_preemptions: r.u64()?,
-            user_preemptions: r.u64()?,
-            probe_hist: Snap::restore(r)?,
-            probe_runs: r.u64()?,
-            probe_misses: r.u64()?,
-            fault_records: Snap::restore(r)?,
-            thread_kmem: r.u64()?,
-            thread_kmem_peak: r.u64()?,
-            threads_created: r.u64()?,
-            objects_created: r.u64()?,
-            trace_log: Snap::restore(r)?,
-            tlb_retired: Snap::restore(r)?,
-            sched_pushes: r.u64()?,
-            sched_steals: r.u64()?,
-            sched_steal_attempts: r.u64()?,
-            sched_ipis: r.u64()?,
-            runq_wait_cycles: r.u64()?,
-            runq_waits: r.u64()?,
-            tlb_shootdown_ipis: r.u64()?,
-            tlb_shootdown_cycles: r.u64()?,
-            waitq: Snap::restore(r)?,
-            port_lookups: r.u64()?,
-            port_ref_chases: r.u64()?,
-            conn_unlinks_fast: r.u64()?,
-            ipc_submit_buffered: r.u64()?,
-            ipc_submit_ops: r.u64()?,
-            ipc_submit_batches: r.u64()?,
-        })
-    }
-}
+snap_struct!(Stats {
+    syscalls,
+    restarts,
+    per_sys,
+    ctx_switches,
+    space_switches,
+    soft_faults,
+    hard_faults,
+    fatal_faults,
+    faults_injected,
+    user_cycles,
+    kernel_cycles,
+    idle_cycles,
+    rollback_cycles,
+    klock_cycles,
+    klock_wait_cycles,
+    ipc_bytes,
+    ipc_messages,
+    preempt_points_taken,
+    kernel_preemptions,
+    user_preemptions,
+    probe_hist,
+    probe_runs,
+    probe_misses,
+    fault_records,
+    thread_kmem,
+    thread_kmem_peak,
+    threads_created,
+    objects_created,
+    trace_log,
+    tlb_retired,
+    sched_pushes,
+    sched_steals,
+    sched_steal_attempts,
+    sched_ipis,
+    runq_wait_cycles,
+    runq_waits,
+    tlb_shootdown_ipis,
+    tlb_shootdown_cycles,
+    waitq,
+    port_lookups,
+    port_ref_chases,
+    conn_unlinks_fast,
+    ipc_submit_buffered,
+    ipc_submit_ops,
+    ipc_submit_batches,
+});
 
 #[cfg(test)]
 mod tests {

@@ -213,6 +213,13 @@ impl PerCpuQueues {
         bits(if above != 0 { above } else { others }).next()
     }
 
+    /// Every queued thread, queue by queue.
+    pub(crate) fn threads(&self) -> impl Iterator<Item = ThreadId> + '_ {
+        self.queues
+            .iter()
+            .flat_map(|q| q.levels.iter().flatten().copied())
+    }
+
     /// Total ready threads across every queue.
     pub fn len(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()

@@ -315,215 +315,69 @@ impl Thread {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_enum, snap_struct};
 
-impl Snap for IpcRole {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            IpcRole::Client => 0,
-            IpcRole::Server => 1,
-        });
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(IpcRole::Client),
-            1 => Ok(IpcRole::Server),
-            t => Err(SnapError::BadTag {
-                what: "IpcRole",
-                tag: t as u32,
-            }),
-        }
-    }
-}
+snap_enum!(IpcRole {
+    0 => Client,
+    1 => Server,
+});
 
-impl Snap for IpcEnd {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.conn.snap(w);
-        self.role.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IpcEnd {
-            conn: Snap::restore(r)?,
-            role: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(IpcEnd { conn, role });
 
-impl Snap for WaitReason {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            WaitReason::Mutex(o) => {
-                w.u8(0);
-                o.snap(w);
-            }
-            WaitReason::Cond(o) => {
-                w.u8(1);
-                o.snap(w);
-            }
-            WaitReason::PortWait(o) => {
-                w.u8(2);
-                o.snap(w);
-            }
-            WaitReason::PsetWait(o) => {
-                w.u8(3);
-                o.snap(w);
-            }
-            WaitReason::IpcConnect(o) => {
-                w.u8(4);
-                o.snap(w);
-            }
-            WaitReason::IpcSend(c) => {
-                w.u8(5);
-                c.snap(w);
-            }
-            WaitReason::IpcReceive(c) => {
-                w.u8(6);
-                c.snap(w);
-            }
-            WaitReason::OnewaySend(o) => {
-                w.u8(7);
-                o.snap(w);
-            }
-            WaitReason::OnewayReceive(o) => {
-                w.u8(8);
-                o.snap(w);
-            }
-            WaitReason::PagerReply(c) => {
-                w.u8(9);
-                c.snap(w);
-            }
-            WaitReason::Join(t) => {
-                w.u8(10);
-                t.snap(w);
-            }
-            WaitReason::Sleep => w.u8(11),
-            WaitReason::SpaceIdle(s) => {
-                w.u8(12);
-                s.snap(w);
-            }
-            WaitReason::Donate(t) => {
-                w.u8(13);
-                t.snap(w);
-            }
-        }
-    }
+snap_enum!(WaitReason {
+    0 => Mutex(o),
+    1 => Cond(o),
+    2 => PortWait(o),
+    3 => PsetWait(o),
+    4 => IpcConnect(o),
+    5 => IpcSend(c),
+    6 => IpcReceive(c),
+    7 => OnewaySend(o),
+    8 => OnewayReceive(o),
+    9 => PagerReply(c),
+    10 => Join(t),
+    11 => Sleep,
+    12 => SpaceIdle(s),
+    13 => Donate(t),
+});
 
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => WaitReason::Mutex(Snap::restore(r)?),
-            1 => WaitReason::Cond(Snap::restore(r)?),
-            2 => WaitReason::PortWait(Snap::restore(r)?),
-            3 => WaitReason::PsetWait(Snap::restore(r)?),
-            4 => WaitReason::IpcConnect(Snap::restore(r)?),
-            5 => WaitReason::IpcSend(Snap::restore(r)?),
-            6 => WaitReason::IpcReceive(Snap::restore(r)?),
-            7 => WaitReason::OnewaySend(Snap::restore(r)?),
-            8 => WaitReason::OnewayReceive(Snap::restore(r)?),
-            9 => WaitReason::PagerReply(Snap::restore(r)?),
-            10 => WaitReason::Join(Snap::restore(r)?),
-            11 => WaitReason::Sleep,
-            12 => WaitReason::SpaceIdle(Snap::restore(r)?),
-            13 => WaitReason::Donate(Snap::restore(r)?),
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "WaitReason",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
-
-impl Snap for RunState {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            RunState::Stopped => w.u8(0),
-            RunState::Ready => w.u8(1),
-            RunState::Running(cpu) => {
-                w.u8(2);
-                w.usize(cpu);
-            }
-            RunState::Blocked(reason) => {
-                w.u8(3);
-                reason.snap(w);
-            }
-            RunState::Halted => w.u8(4),
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => RunState::Stopped,
-            1 => RunState::Ready,
-            2 => RunState::Running(r.usize()?),
-            3 => RunState::Blocked(Snap::restore(r)?),
-            4 => RunState::Halted,
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "RunState",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
+snap_enum!(RunState {
+    0 => Stopped,
+    1 => Ready,
+    2 => Running(cpu),
+    3 => Blocked(reason),
+    4 => Halted,
+});
 
 // Native bodies hold arbitrary host closures and cannot be serialized;
 // snapshotting a kernel with a live native thread is a `NativeBody` error.
 // The cached `text` Arc is derived from `program` and re-resolved against
 // the kernel's program table after the whole kernel body is decoded.
-impl Snap for Thread {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.id.snap(w);
-        self.obj.snap(w);
-        self.space.snap(w);
-        w.u32(self.space_token);
-        self.program.snap(w);
-        self.regs.snap(w);
-        w.u32(self.priority);
-        w.usize(self.home_cpu);
-        self.state.snap(w);
-        self.ipc.snap(w);
-        self.inflight.snap(w);
-        w.bool(self.kstack_retained);
-        w.bool(self.interrupted);
-        w.bool(self.ipc_alerted);
-        self.ipc_error.snap(w);
-        w.u64(self.woken_at);
-        w.u64(self.wake_pending);
-        self.open_fault.snap(w);
-        w.u64(self.user_cycles);
-        self.joiners.snap(w);
-        self.donors.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Thread {
-            id: Snap::restore(r)?,
-            obj: Snap::restore(r)?,
-            space: Snap::restore(r)?,
-            space_token: r.u32()?,
-            program: Snap::restore(r)?,
-            text: None, // re-resolved from `program` by the kernel decoder
-            regs: Snap::restore(r)?,
-            priority: r.u32()?,
-            home_cpu: r.usize()?,
-            state: Snap::restore(r)?,
-            body: Body::User,
-            ipc: Snap::restore(r)?,
-            inflight: Snap::restore(r)?,
-            kstack_retained: r.bool()?,
-            interrupted: r.bool()?,
-            ipc_alerted: r.bool()?,
-            ipc_error: Snap::restore(r)?,
-            woken_at: r.u64()?,
-            wake_pending: r.u64()?,
-            open_fault: Snap::restore(r)?,
-            user_cycles: r.u64()?,
-            joiners: Snap::restore(r)?,
-            donors: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(Thread {
+    id,
+    obj,
+    space,
+    space_token,
+    program,
+    text: None,
+    regs,
+    priority,
+    home_cpu,
+    state,
+    body: Body::User,
+    ipc,
+    inflight,
+    kstack_retained,
+    interrupted,
+    ipc_alerted,
+    ipc_error,
+    woken_at,
+    wake_pending,
+    open_fault,
+    user_cycles,
+    joiners,
+    donors,
+});
 
 #[cfg(test)]
 mod tests {

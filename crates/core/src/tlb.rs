@@ -123,48 +123,27 @@ impl Tlb {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for TlbStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.shootdowns);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TlbStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            shootdowns: r.u64()?,
-        })
-    }
-}
+snap_struct!(TlbStats {
+    hits,
+    misses,
+    shootdowns,
+});
 
-impl Snap for TlbEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.vpn);
-        w.u32(self.frame);
-        w.bool(self.writable);
-        w.u64(self.gen);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TlbEntry {
-            vpn: r.u32()?,
-            frame: r.u32()?,
-            writable: r.bool()?,
-            gen: r.u64()?,
-        })
-    }
-}
+snap_struct!(TlbEntry {
+    vpn,
+    frame,
+    writable,
+    gen,
+});
 
 // The cache contents are serialized in full (not just the generation):
 // hit/miss counters depend on what is cached, and those counters must
 // replay bit-identically for restored kernels to digest-match recordings.
 impl Snap for Tlb {
     fn snap(&self, w: &mut SnapWriter) {
-        for s in self.slots.iter() {
-            s.snap(w);
-        }
+        self.slots.snap(w);
         w.u64(self.gen);
         self.stats.snap(w);
     }

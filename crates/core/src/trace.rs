@@ -627,223 +627,47 @@ impl Histogram {
 
 // --- krec snapshot support ------------------------------------------------
 
-use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::krec::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for TraceEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        match *self {
-            TraceEvent::SyscallEnter { thread, sys, class } => {
-                w.u8(0);
-                thread.snap(w);
-                w.u32(sys);
-                class.snap(w);
-            }
-            TraceEvent::SyscallRestart { thread, sys, class } => {
-                w.u8(1);
-                thread.snap(w);
-                w.u32(sys);
-                class.snap(w);
-            }
-            TraceEvent::SyscallExit {
-                thread,
-                code,
-                class,
-            } => {
-                w.u8(2);
-                thread.snap(w);
-                w.u32(code);
-                class.snap(w);
-            }
-            TraceEvent::IpcSend { thread, bytes } => {
-                w.u8(3);
-                thread.snap(w);
-                w.u32(bytes);
-            }
-            TraceEvent::IpcReceive { thread, window } => {
-                w.u8(4);
-                thread.snap(w);
-                w.u32(window);
-            }
-            TraceEvent::IpcTransfer { thread, bytes } => {
-                w.u8(5);
-                thread.snap(w);
-                w.u32(bytes);
-            }
-            TraceEvent::IpcMessage { thread } => {
-                w.u8(6);
-                thread.snap(w);
-            }
-            TraceEvent::SoftFault {
-                thread,
-                addr,
-                remedy,
-            } => {
-                w.u8(7);
-                thread.snap(w);
-                w.u32(addr);
-                w.u64(remedy);
-            }
-            TraceEvent::HardFault { thread, offset } => {
-                w.u8(8);
-                thread.snap(w);
-                w.u32(offset);
-            }
-            TraceEvent::HardFaultDone { thread, remedy } => {
-                w.u8(9);
-                thread.snap(w);
-                w.u64(remedy);
-            }
-            TraceEvent::Rollback { thread, cycles } => {
-                w.u8(10);
-                thread.snap(w);
-                w.u64(cycles);
-            }
-            TraceEvent::CtxSwitch {
-                thread,
-                space_switch,
-            } => {
-                w.u8(11);
-                thread.snap(w);
-                w.bool(space_switch);
-            }
-            TraceEvent::UserPreempt { thread } => {
-                w.u8(12);
-                thread.snap(w);
-            }
-            TraceEvent::KernelPreempt { thread } => {
-                w.u8(13);
-                thread.snap(w);
-            }
-            TraceEvent::Block { thread } => {
-                w.u8(14);
-                thread.snap(w);
-            }
-            TraceEvent::Wake { thread } => {
-                w.u8(15);
-                thread.snap(w);
-            }
-            TraceEvent::Halt { thread } => {
-                w.u8(16);
-                thread.snap(w);
-            }
-            TraceEvent::Mark { thread, value } => {
-                w.u8(17);
-                thread.snap(w);
-                w.u32(value);
-            }
-            TraceEvent::FaultInjected { thread, kind, site } => {
-                w.u8(18);
-                thread.snap(w);
-                w.u32(kind);
-                w.u64(site);
-            }
-        }
-    }
+snap_enum!(TraceEvent {
+    0 => SyscallEnter { thread, sys, class },
+    1 => SyscallRestart { thread, sys, class },
+    2 => SyscallExit {
+        thread,
+        code,
+        class
+    },
+    3 => IpcSend { thread, bytes },
+    4 => IpcReceive { thread, window },
+    5 => IpcTransfer { thread, bytes },
+    6 => IpcMessage { thread },
+    7 => SoftFault {
+        thread,
+        addr,
+        remedy
+    },
+    8 => HardFault { thread, offset },
+    9 => HardFaultDone { thread, remedy },
+    10 => Rollback { thread, cycles },
+    11 => CtxSwitch {
+        thread,
+        space_switch
+    },
+    12 => UserPreempt { thread },
+    13 => KernelPreempt { thread },
+    14 => Block { thread },
+    15 => Wake { thread },
+    16 => Halt { thread },
+    17 => Mark { thread, value },
+    18 => FaultInjected { thread, kind, site },
+});
 
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => TraceEvent::SyscallEnter {
-                thread: Snap::restore(r)?,
-                sys: r.u32()?,
-                class: Snap::restore(r)?,
-            },
-            1 => TraceEvent::SyscallRestart {
-                thread: Snap::restore(r)?,
-                sys: r.u32()?,
-                class: Snap::restore(r)?,
-            },
-            2 => TraceEvent::SyscallExit {
-                thread: Snap::restore(r)?,
-                code: r.u32()?,
-                class: Snap::restore(r)?,
-            },
-            3 => TraceEvent::IpcSend {
-                thread: Snap::restore(r)?,
-                bytes: r.u32()?,
-            },
-            4 => TraceEvent::IpcReceive {
-                thread: Snap::restore(r)?,
-                window: r.u32()?,
-            },
-            5 => TraceEvent::IpcTransfer {
-                thread: Snap::restore(r)?,
-                bytes: r.u32()?,
-            },
-            6 => TraceEvent::IpcMessage {
-                thread: Snap::restore(r)?,
-            },
-            7 => TraceEvent::SoftFault {
-                thread: Snap::restore(r)?,
-                addr: r.u32()?,
-                remedy: r.u64()?,
-            },
-            8 => TraceEvent::HardFault {
-                thread: Snap::restore(r)?,
-                offset: r.u32()?,
-            },
-            9 => TraceEvent::HardFaultDone {
-                thread: Snap::restore(r)?,
-                remedy: r.u64()?,
-            },
-            10 => TraceEvent::Rollback {
-                thread: Snap::restore(r)?,
-                cycles: r.u64()?,
-            },
-            11 => TraceEvent::CtxSwitch {
-                thread: Snap::restore(r)?,
-                space_switch: r.bool()?,
-            },
-            12 => TraceEvent::UserPreempt {
-                thread: Snap::restore(r)?,
-            },
-            13 => TraceEvent::KernelPreempt {
-                thread: Snap::restore(r)?,
-            },
-            14 => TraceEvent::Block {
-                thread: Snap::restore(r)?,
-            },
-            15 => TraceEvent::Wake {
-                thread: Snap::restore(r)?,
-            },
-            16 => TraceEvent::Halt {
-                thread: Snap::restore(r)?,
-            },
-            17 => TraceEvent::Mark {
-                thread: Snap::restore(r)?,
-                value: r.u32()?,
-            },
-            18 => TraceEvent::FaultInjected {
-                thread: Snap::restore(r)?,
-                kind: r.u32()?,
-                site: r.u64()?,
-            },
-            t => {
-                return Err(SnapError::BadTag {
-                    what: "TraceEvent",
-                    tag: t as u32,
-                })
-            }
-        })
-    }
-}
-
-impl Snap for TraceRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.at);
-        w.u32(self.cpu);
-        w.u64(self.seq);
-        self.event.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TraceRecord {
-            at: r.u64()?,
-            cpu: r.u32()?,
-            seq: r.u64()?,
-            event: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(TraceRecord {
+    at,
+    cpu,
+    seq,
+    event,
+});
 
 impl Snap for TraceRing {
     fn snap(&self, w: &mut SnapWriter) {
@@ -867,39 +691,19 @@ impl Snap for TraceRing {
     }
 }
 
-impl Snap for Tracer {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        self.rings.snap(w);
-        w.u64(self.pending_rollback);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Tracer {
-            enabled: r.bool()?,
-            rings: Snap::restore(r)?,
-            pending_rollback: r.u64()?,
-        })
-    }
-}
+snap_struct!(Tracer {
+    enabled,
+    rings,
+    pending_rollback,
+});
 
-impl Snap for Histogram {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-        self.buckets.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Histogram {
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-            buckets: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(Histogram {
+    count,
+    sum,
+    min,
+    max,
+    buckets,
+});
 
 #[cfg(test)]
 mod tests {

@@ -151,6 +151,7 @@ impl Json {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -206,10 +207,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the limit bounds its stack use on hostile
+/// input; committed reports nest at most 8 deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,11 +259,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -439,6 +455,29 @@ mod tests {
         assert!(text.len() > 4 << 20);
         let v = Json::parse(&text).unwrap();
         assert_eq!(v.get("k").and_then(Json::as_str), Some(big.as_str()));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(Json::parse(&over).unwrap_err().msg, "nesting too deep");
+        let hostile = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(100_000)).map(|_| ()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(
+            hostile,
+            Err(ParseError {
+                at: MAX_DEPTH,
+                msg: "nesting too deep"
+            })
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&objects).unwrap_err().msg, "nesting too deep");
     }
 
     #[test]
