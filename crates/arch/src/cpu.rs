@@ -49,11 +49,12 @@ impl Cpu {
     /// through a string instruction — `eip` still points at the instruction
     /// and the registers hold exact partial progress, so resolving the
     /// condition and re-running resumes correctly.
-    pub fn step(
+    #[inline]
+    pub fn step<M: UserMem + ?Sized>(
         &mut self,
         regs: &mut UserRegs,
         prog: &Program,
-        mem: &mut dyn UserMem,
+        mem: &mut M,
         cost: &CostModel,
     ) -> Option<Trap> {
         let instr = match prog.fetch(regs.eip) {
@@ -308,20 +309,32 @@ impl Cpu {
     }
 
     /// Run user code until a trap or until the clock reaches `deadline`.
-    pub fn run_user(
+    ///
+    /// Exactly a loop of [`Cpu::step`] while `now < deadline`. The loop
+    /// runs on local copies of the registers and the clock, so they can
+    /// live in host registers across the inlined memory accesses, and
+    /// writes both back on every exit.
+    pub fn run_user<M: UserMem + ?Sized>(
         &mut self,
         regs: &mut UserRegs,
         prog: &Program,
-        mem: &mut dyn UserMem,
+        mem: &mut M,
         cost: &CostModel,
         deadline: Cycles,
     ) -> StepOutcome {
-        while self.now < deadline {
-            if let Some(trap) = self.step(regs, prog, mem, cost) {
-                return StepOutcome::Trapped(trap);
+        let mut r = *regs;
+        let mut cpu = self.clone();
+        let out = loop {
+            if cpu.now >= deadline {
+                break StepOutcome::DeadlineReached;
             }
-        }
-        StepOutcome::DeadlineReached
+            if let Some(trap) = cpu.step(&mut r, prog, mem, cost) {
+                break StepOutcome::Trapped(trap);
+            }
+        };
+        *regs = r;
+        self.now = cpu.now;
+        out
     }
 
     #[inline]

@@ -51,6 +51,11 @@ pub struct BulkFault {
 /// are byte-granularity at this boundary; multi-byte accessors have default
 /// implementations that fault at the first inaccessible byte, which is what
 /// makes partially-completed string operations restartable.
+///
+/// [`crate::Cpu::step`] and [`crate::Cpu::run_user`] are generic over
+/// `M: UserMem + ?Sized`, so a concrete implementation is monomorphized
+/// into the interpreter loop and its accessors can inline there. A
+/// `&mut dyn UserMem` still works; it pays a virtual call per access.
 pub trait UserMem {
     /// Read one byte at `addr`.
     fn read_u8(&mut self, addr: u32) -> Result<u8, MemFault>;

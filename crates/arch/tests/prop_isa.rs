@@ -5,7 +5,10 @@
 //! PRNG — same laws, reproducible cases.
 
 use fluke_arch::mem::FlatMem;
-use fluke_arch::{Assembler, Cond, CostModel, Cpu, Instr, Program, Reg, Trap, UserMem, UserRegs};
+use fluke_arch::{
+    Assembler, Cond, CostModel, Cpu, Cycles, Instr, Program, Reg, StepOutcome, Trap, UserMem,
+    UserRegs,
+};
 
 /// Deterministic splitmix64 generator for test-case synthesis.
 struct Rng(u64);
@@ -228,4 +231,145 @@ fn simulation_is_deterministic() {
         };
         assert_eq!(run(), run());
     }
+}
+
+/// Bytes of memory in the equivalence test. Addresses are drawn from a
+/// slightly larger window, so loads and stores fault mid-run.
+const EQ_MEM: u32 = 192;
+const EQ_SPAN: u32 = 256;
+
+/// A random instruction drawn from every `Instr` variant. Branch targets
+/// may lie past the end of a `len`-instruction program (an `Illegal`
+/// trap); immediates and offsets mostly keep addresses near the memory.
+fn random_instr(rng: &mut Rng, len: u32) -> Instr {
+    let r = Reg::ALL[rng.range(0, 8) as usize];
+    let s = Reg::ALL[rng.range(0, 8) as usize];
+    let addr = rng.range(0, EQ_SPAN);
+    let off = rng.range(0, 16) as i32 - 8;
+    match rng.range(0, 26) {
+        0 => Instr::MovI(r, addr),
+        1 => Instr::Mov(r, s),
+        2 => Instr::Add(r, s),
+        3 => Instr::AddI(r, rng.range(0, 8)),
+        4 => Instr::Sub(r, s),
+        5 => Instr::SubI(r, rng.range(0, 8)),
+        6 => Instr::Mul(r, s),
+        7 => Instr::Xor(r, s),
+        8 => Instr::AndI(r, rng.next_u32()),
+        9 => Instr::ShrI(r, rng.range(0, 40)),
+        10 => Instr::ShlI(r, rng.range(0, 40)),
+        11 => Instr::Cmp(r, s),
+        12 => Instr::CmpI(r, addr),
+        13 => {
+            let c = [Cond::Always, Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge];
+            Instr::Jmp(c[rng.range(0, 5) as usize], rng.range(0, len + 2))
+        }
+        14 => Instr::Load(r, s, off),
+        15 => Instr::Store(r, off, s),
+        16 => Instr::LoadB(r, s, off),
+        17 => Instr::StoreB(r, off, s),
+        18 => Instr::Push(r),
+        19 => Instr::Pop(r),
+        20 => Instr::RepMovsB,
+        21 => Instr::RepStosB,
+        22 => Instr::Syscall,
+        23 => Instr::Compute(rng.range(1, 300)),
+        24 => Instr::Halt,
+        _ => Instr::Nop,
+    }
+}
+
+/// The specification of `run_user`: a plain loop of `step`, through a
+/// `dyn UserMem`. Also reports whether it stopped at a deadline that fell
+/// strictly inside the last instruction, a `Compute`.
+fn step_loop(
+    cpu: &mut Cpu,
+    regs: &mut UserRegs,
+    prog: &Program,
+    mem: &mut dyn UserMem,
+    cost: &CostModel,
+    deadline: Cycles,
+) -> (StepOutcome, bool) {
+    let mut last_compute = None;
+    while cpu.now < deadline {
+        let start = cpu.now;
+        last_compute = matches!(prog.fetch(regs.eip), Some(Instr::Compute(_))).then_some(start);
+        if let Some(trap) = cpu.step(regs, prog, mem, cost) {
+            return (StepOutcome::Trapped(trap), false);
+        }
+    }
+    let inside = last_compute.is_some_and(|start| start < deadline && deadline < cpu.now);
+    (StepOutcome::DeadlineReached, inside)
+}
+
+/// `run_user` is observationally a loop of `step`: on random programs over
+/// every instruction, random register files and random deadlines (some
+/// already passed), it ends with the same outcome, the same registers, the
+/// same clock and the same memory — across traps, faults and resumes.
+#[test]
+fn run_user_equals_step_loop() {
+    let mut rng = Rng(0x0E0_1D1E);
+    let cost = CostModel::default();
+    let mut seen = [0u32; 7];
+    for case in 0..3000 {
+        let len = rng.range(1, 40);
+        let prog = Program::new(
+            "eq",
+            (0..len).map(|_| random_instr(&mut rng, len)).collect(),
+        );
+        let mut regs = UserRegs::new();
+        for g in regs.gpr.iter_mut() {
+            *g = rng.range(0, EQ_SPAN);
+        }
+        regs.gpr[Reg::Ecx.index()] = rng.range(0, 64);
+        regs.eflags = rng.range(0, 4);
+        regs.pr = [rng.next_u32(), rng.next_u32()];
+        let mut mem = FlatMem::new(EQ_MEM as usize);
+        for a in 0..EQ_MEM {
+            mem.write_u8(a, rng.next_u32() as u8).unwrap();
+        }
+        let now = rng.range(0, 1000) as Cycles;
+        let (mut cpu_a, mut regs_a, mut mem_a) = (Cpu::new(0), regs, mem.clone());
+        let (mut cpu_b, mut regs_b, mut mem_b) = (Cpu::new(0), regs, mem);
+        cpu_a.now = now;
+        cpu_b.now = now;
+
+        // Up to four resumes: a deadline or a system call (completed by
+        // advancing eip, as the kernel does) continues the run.
+        for resume in 0..4 {
+            let start = cpu_a.now;
+            let deadline = match rng.range(0, 4) {
+                0 => start.saturating_sub(rng.range(0, 50) as Cycles),
+                _ => start + rng.range(1, 2000) as Cycles,
+            };
+            let (want, inside) =
+                step_loop(&mut cpu_a, &mut regs_a, &prog, &mut mem_a, &cost, deadline);
+            let got = cpu_b.run_user(&mut regs_b, &prog, &mut mem_b, &cost, deadline);
+            let ctx = format!("case {case} resume {resume} deadline {deadline}");
+            assert_eq!(got, want, "outcome: {ctx}");
+            assert_eq!(regs_b, regs_a, "registers: {ctx}");
+            assert_eq!(cpu_b.now, cpu_a.now, "clock: {ctx}");
+            assert_eq!(mem_b.bytes(), mem_a.bytes(), "memory: {ctx}");
+            seen[match want {
+                StepOutcome::DeadlineReached if deadline <= start => 0,
+                StepOutcome::DeadlineReached => 1,
+                StepOutcome::Trapped(Trap::Syscall) => 2,
+                StepOutcome::Trapped(Trap::PageFault(_)) => 3,
+                StepOutcome::Trapped(Trap::Halt) => 4,
+                StepOutcome::Trapped(Trap::Illegal) => 5,
+            }] += 1;
+            seen[6] += inside as u32;
+            match want {
+                StepOutcome::DeadlineReached => {}
+                StepOutcome::Trapped(Trap::Syscall) => {
+                    regs_a.eip += 1;
+                    regs_b.eip += 1;
+                }
+                StepOutcome::Trapped(_) => break,
+            }
+        }
+    }
+    // Every exit path was taken, including a deadline already passed and
+    // one inside a `Compute`.
+    assert!(seen.iter().all(|&n| n > 0), "unexercised exits: {seen:?}");
 }

@@ -100,7 +100,16 @@ fn pin(w: KrecWorkload, cfg: &Config) -> (u64, u64, u64) {
         .collect();
     let mut h = FNV_OFFSET;
     let mut total = 0u64;
-    for img in &images {
+    for (i, img) in images.iter().enumerate() {
+        // Every image passes restore's validation, `check_invariants`
+        // included.
+        if let Err(e) = Kernel::restore_from(img) {
+            panic!(
+                "{} under {}: image {i} does not restore: {e}",
+                w.label(),
+                cfg.label
+            );
+        }
         h = fnv64(h, img);
         total += img.len() as u64;
     }

@@ -563,6 +563,7 @@ impl SpaceMemAdapter<'_> {
 }
 
 impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
+    #[inline]
     fn read_u8(&mut self, addr: u32) -> Result<u8, fluke_arch::MemFault> {
         match self.translate(addr, false) {
             Some((f, off)) => Ok(self.phys.read_u8(f, off)),
@@ -573,6 +574,7 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
     }
 
+    #[inline]
     fn write_u8(&mut self, addr: u32, val: u8) -> Result<(), fluke_arch::MemFault> {
         match self.translate(addr, true) {
             Some((f, off)) => {
@@ -586,15 +588,35 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
     }
 
+    #[inline]
     fn read_u32(&mut self, addr: u32) -> Result<u32, fluke_arch::MemFault> {
         let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b).map_err(|e| e.fault)?;
+        if self.fast && within_page(addr) {
+            // One translation, one TLB lookup: what the page-run path
+            // below does for an access inside one page.
+            let (f, off) = self.translate(addr, false).ok_or(fluke_arch::MemFault {
+                addr,
+                kind: fluke_arch::AccessKind::Read,
+            })?;
+            self.phys.read_slice(f, off, &mut b);
+        } else {
+            self.read_bytes(addr, &mut b).map_err(|e| e.fault)?;
+        }
         Ok(u32::from_le_bytes(b))
     }
 
+    #[inline]
     fn write_u32(&mut self, addr: u32, val: u32) -> Result<(), fluke_arch::MemFault> {
-        // Bulk write keeps the byte-loop contract: bytes before the fault
-        // are committed.
+        if self.fast && within_page(addr) {
+            let (f, off) = self.translate(addr, true).ok_or(fluke_arch::MemFault {
+                addr,
+                kind: fluke_arch::AccessKind::Write,
+            })?;
+            self.phys.write_slice(f, off, &val.to_le_bytes());
+            return Ok(());
+        }
+        // Bulk write keeps the byte-loop contract across a page boundary:
+        // bytes before the fault are committed.
         self.write_bytes(addr, &val.to_le_bytes())
             .map_err(|e| e.fault)
     }
@@ -675,6 +697,12 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
         Ok(())
     }
+}
+
+/// Whether a 4-byte access at `addr` stays inside one page.
+#[inline]
+fn within_page(addr: u32) -> bool {
+    addr % PAGE_SIZE <= PAGE_SIZE - 4
 }
 
 /// Compile-time check that `SysResult` composes with `?` as intended.

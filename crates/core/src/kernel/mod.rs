@@ -303,11 +303,32 @@ impl Kernel {
 
     /// The first broken cross-structure invariant, if any. Checked so
     /// far: every run-queue entry names a live Ready thread (the run loop
-    /// dispatches queue entries without re-checking them).
+    /// dispatches queue entries without re-checking them), and the CPUs'
+    /// `current` slots agree with thread states — CPU `i`'s current thread
+    /// is live and `Running(i)`, and every `Running(i)` thread is CPU
+    /// `i`'s current thread.
     pub(crate) fn check_invariants(&self) -> Result<(), &'static str> {
         for t in self.runqs.threads() {
             if !self.threads.get(t.0).is_some_and(|th| th.is_ready()) {
                 return Err("run queue names a thread that is not a live Ready thread");
+            }
+        }
+        for (i, slot) in self.cpus.iter().enumerate() {
+            if let Some(t) = slot.current {
+                if !self
+                    .threads
+                    .get(t.0)
+                    .is_some_and(|th| th.state == RunState::Running(i))
+                {
+                    return Err("a CPU's current slot names a thread not running on it");
+                }
+            }
+        }
+        for (t, th) in self.threads.iter() {
+            if let RunState::Running(i) = th.state {
+                if self.cpus.get(i).and_then(|slot| slot.current) != Some(ThreadId(t)) {
+                    return Err("a running thread is not its CPU's current thread");
+                }
             }
         }
         Ok(())

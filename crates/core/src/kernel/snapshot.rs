@@ -423,6 +423,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::config::{Config, Preemption, MAX_CPUS};
+    use crate::thread::RunState;
 
     /// Recompute a tampered image's digest trailer, so restore gets past
     /// the integrity check and has to judge the contents.
@@ -495,6 +496,55 @@ mod tests {
                 "run queue names a thread that is not a live Ready thread"
             ))
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_current_slot_naming_a_thread_that_is_not_running() {
+        let mut k = Kernel::new(Config::process_pp().with_cpus(2));
+        let space = k.create_space();
+        let mut a = fluke_arch::Assembler::new("sleep");
+        a.movi(fluke_arch::Reg::Eax, fluke_api::Sys::ThreadSleep.num());
+        a.syscall();
+        a.halt();
+        let sleep = k.register_program(a.finish());
+        let mut a = fluke_arch::Assembler::new("halt");
+        a.halt();
+        let halt = k.register_program(a.finish());
+        let sleeper = k.spawn_thread(space, sleep, fluke_arch::UserRegs::new(), 8);
+        let halted = k.spawn_thread(space, halt, fluke_arch::UserRegs::new(), 8);
+        assert_eq!(k.run(None), super::super::RunExit::Deadlock);
+        assert_eq!(
+            k.thread_run_state(sleeper),
+            RunState::Blocked(crate::thread::WaitReason::Sleep)
+        );
+        assert!(k.thread_halted(halted));
+        assert!(k.cpus.iter().all(|c| c.current.is_none()));
+        let clean = k.snapshot_bytes().unwrap();
+        assert!(Kernel::restore_from(&clean).is_ok());
+
+        for t in [sleeper, halted] {
+            k.cpus[1].current = Some(t);
+            assert_eq!(
+                Kernel::restore_from(&k.snapshot_bytes().unwrap()).err(),
+                Some(SnapError::Invalid(
+                    "a CPU's current slot names a thread not running on it"
+                )),
+                "{:?}",
+                k.thread_run_state(t)
+            );
+        }
+        // The converse: a thread marked running on CPU 1 that CPU 1 does
+        // not name as current.
+        k.cpus[1].current = None;
+        k.threads.get_mut(sleeper.0).unwrap().state = RunState::Running(1);
+        assert_eq!(
+            Kernel::restore_from(&k.snapshot_bytes().unwrap()).err(),
+            Some(SnapError::Invalid(
+                "a running thread is not its CPU's current thread"
+            ))
+        );
+        k.cpus[1].current = Some(sleeper);
+        assert!(Kernel::restore_from(&k.snapshot_bytes().unwrap()).is_ok());
     }
 
     /// A fresh `cfg` kernel's image with its (empty) lock table replaced

@@ -91,6 +91,16 @@ mod tests {
         );
     }
 
+    #[test]
+    fn memtest_tlb_counters_are_pinned() {
+        // hostperf's `core.mem.tlb_hits`/`tlb_misses` read these counters;
+        // an interpreter fast path that skipped the TLB would move them.
+        let mut run = build_kb(Config::process_np(), 256);
+        crate::common::try_finish(&mut run, 50_000_000_000).expect("memtest finishes");
+        let tlb = run.kernel.tlb_stats();
+        assert_eq!((tlb.hits, tlb.misses), (262_464, 257));
+    }
+
     /// KB-granular variant used by tests.
     fn build_kb(cfg: Config, kb: u32) -> WorkloadRun {
         let mut k = Kernelish::boot(cfg, 1); // 1MB backing
