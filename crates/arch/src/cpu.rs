@@ -333,7 +333,7 @@ impl Cpu {
             }
         };
         *regs = r;
-        self.now = cpu.now;
+        *self = cpu;
         out
     }
 

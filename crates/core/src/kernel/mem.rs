@@ -591,32 +591,14 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
     #[inline]
     fn read_u32(&mut self, addr: u32) -> Result<u32, fluke_arch::MemFault> {
         let mut b = [0u8; 4];
-        if self.fast && within_page(addr) {
-            // One translation, one TLB lookup: what the page-run path
-            // below does for an access inside one page.
-            let (f, off) = self.translate(addr, false).ok_or(fluke_arch::MemFault {
-                addr,
-                kind: fluke_arch::AccessKind::Read,
-            })?;
-            self.phys.read_slice(f, off, &mut b);
-        } else {
-            self.read_bytes(addr, &mut b).map_err(|e| e.fault)?;
-        }
+        self.read_bytes(addr, &mut b).map_err(|e| e.fault)?;
         Ok(u32::from_le_bytes(b))
     }
 
     #[inline]
     fn write_u32(&mut self, addr: u32, val: u32) -> Result<(), fluke_arch::MemFault> {
-        if self.fast && within_page(addr) {
-            let (f, off) = self.translate(addr, true).ok_or(fluke_arch::MemFault {
-                addr,
-                kind: fluke_arch::AccessKind::Write,
-            })?;
-            self.phys.write_slice(f, off, &val.to_le_bytes());
-            return Ok(());
-        }
-        // Bulk write keeps the byte-loop contract across a page boundary:
-        // bytes before the fault are committed.
+        // Bulk write keeps the byte-loop contract: bytes before the fault
+        // are committed.
         self.write_bytes(addr, &val.to_le_bytes())
             .map_err(|e| e.fault)
     }
@@ -697,12 +679,6 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
         }
         Ok(())
     }
-}
-
-/// Whether a 4-byte access at `addr` stays inside one page.
-#[inline]
-fn within_page(addr: u32) -> bool {
-    addr % PAGE_SIZE <= PAGE_SIZE - 4
 }
 
 /// Compile-time check that `SysResult` composes with `?` as intended.

@@ -44,7 +44,6 @@ impl PhysMem {
     }
 
     /// Read a slice out of one frame (must not cross the frame boundary).
-    #[inline]
     pub fn read_slice(&self, frame: FrameId, offset: u32, out: &mut [u8]) {
         debug_assert!(
             offset as usize + out.len() <= PAGE_SIZE as usize,
@@ -57,7 +56,6 @@ impl PhysMem {
     }
 
     /// Write a slice into one frame (must not cross the frame boundary).
-    #[inline]
     pub fn write_slice(&mut self, frame: FrameId, offset: u32, data: &[u8]) {
         debug_assert!(
             offset as usize + data.len() <= PAGE_SIZE as usize,
