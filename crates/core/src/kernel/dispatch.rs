@@ -838,21 +838,12 @@ impl Kernel {
             th.space = Some(ns);
         }
         let now_space = th.space;
-        let runnable = f.runnable != 0;
-        let prio = th.priority;
-        let was_running = matches!(th.state, RunState::Running(_));
-        th.state = if runnable {
-            RunState::Ready
-        } else {
-            RunState::Stopped
-        };
-        if was_running {
-            self.clear_running_cpu(tid);
-        }
-        if runnable {
-            self.sched_push(tid, prio);
+        self.clear_running_cpu(tid);
+        if f.runnable != 0 {
             let now = self.now();
-            self.kick_parked(now);
+            self.make_runnable(tid, now);
+        } else {
+            self.threads.get_mut(tid.0).unwrap().state = RunState::Stopped;
         }
         // Maintain space thread lists.
         if old_space != now_space {

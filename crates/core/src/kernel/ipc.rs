@@ -26,10 +26,9 @@ use crate::conn::{ClientEnd, Connection, Dir};
 use crate::ids::{ConnId, ObjId, ThreadId};
 use crate::kprof::Phase;
 use crate::kstat::FaultSide;
-use crate::object::{ObjData, ObjectTable};
+use crate::object::ObjData;
 use crate::probe::Probe;
 use crate::thread::{IpcRole, RunState, WaitReason};
-use crate::waitq::WaitQueue;
 
 use super::mem::PumpFault;
 use super::{Kernel, SysCtx, SysOutcome, SysResult};
@@ -1119,7 +1118,7 @@ impl Kernel {
             }
             self.flush_buffered(t, port);
         }
-        let peer = match oneway_queue(&mut self.objects, port, !send) {
+        let peer = match wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
             Some(q) => q.pop(&mut self.stats.waitq),
             None => return Err(Self::fail(ErrorCode::InvalidHandle)),
         };
@@ -1153,7 +1152,7 @@ impl Kernel {
                 // The transfer restarts later (the current thread's fault
                 // is serviced, or it runs again): the peer goes back to
                 // the head of its queue.
-                if let Some(q) = oneway_queue(&mut self.objects, port, !send) {
+                if let Some(q) = wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
                     q.requeue_front(peer, &mut self.stats.waitq);
                 }
                 Ok(match out {
@@ -1174,16 +1173,12 @@ impl Kernel {
     /// Wait on `port` at the one-way restart point, on the senders' queue
     /// when `send`, else the receivers'.
     fn oneway_wait(&mut self, cx: &mut SysCtx, port: ObjId, send: bool) -> SysResult {
-        let Some(q) = oneway_queue(&mut self.objects, port, send) else {
+        let reason = oneway_reason(port, send);
+        let Some(q) = wait_queue_of!(self, reason, get_mut, mut) else {
             return Err(Self::fail(ErrorCode::InvalidHandle));
         };
         q.enqueue(cx.t, &mut self.stats.waitq);
         cx.set_reg_committed(self, Reg::Eax, oneway_restart(send).num());
-        let reason = if send {
-            WaitReason::OnewaySend(port)
-        } else {
-            WaitReason::OnewayReceive(port)
-        };
         Ok(cx.block(self, reason))
     }
 
@@ -1316,23 +1311,12 @@ impl Kernel {
     }
 }
 
-/// A port's one-way senders' queue (`senders`) or receivers' queue.
-pub(super) fn oneway_queue(
-    objects: &mut ObjectTable,
-    port: ObjId,
-    senders: bool,
-) -> Option<&mut WaitQueue<ThreadId>> {
-    match objects.get_mut(port).map(|o| &mut o.data) {
-        Some(ObjData::Port {
-            oneway_senders,
-            oneway_receivers,
-            ..
-        }) => Some(if senders {
-            oneway_senders
-        } else {
-            oneway_receivers
-        }),
-        _ => None,
+/// The wait of a one-way sender (`send`) or receiver on `port`.
+fn oneway_reason(port: ObjId, send: bool) -> WaitReason {
+    if send {
+        WaitReason::OnewaySend(port)
+    } else {
+        WaitReason::OnewayReceive(port)
     }
 }
 

@@ -18,6 +18,49 @@
 //! * `ipc` — connections, the data-transfer pump with its preemption
 //!   points, and the IPC entrypoints.
 
+/// The one reason → wait-queue mapping: the queue a thread blocked for a
+/// `WaitReason` is linked on in kernel `$k`, or `None` for the
+/// connection-linked and timer waits, which keep no queue (or if the
+/// holder is gone). Written once for shared and mutable access: `$get` is
+/// `get` or `get_mut`, and `$m` the matching reference qualifier.
+macro_rules! wait_queue_of {
+    ($k:expr, $reason:expr, $get:ident $(, $m:tt)?) => {{
+        use $crate::object::ObjData;
+        use $crate::thread::WaitReason;
+        match $reason {
+            WaitReason::Join(x) => $k.threads.$get(x.0).map(|th| &$($m)? th.joiners),
+            WaitReason::Donate(x) => $k.threads.$get(x.0).map(|th| &$($m)? th.donors),
+            WaitReason::SpaceIdle(x) => $k.spaces.$get(x.0).map(|sp| &$($m)? sp.idle_waiters),
+            WaitReason::IpcConnect(_)
+            | WaitReason::IpcSend(_)
+            | WaitReason::IpcReceive(_)
+            | WaitReason::PagerReply(_)
+            | WaitReason::Sleep => None,
+            r @ (WaitReason::Mutex(o)
+            | WaitReason::Cond(o)
+            | WaitReason::PortWait(o)
+            | WaitReason::PsetWait(o)
+            | WaitReason::OnewaySend(o)
+            | WaitReason::OnewayReceive(o)) => {
+                match (r, $k.objects.$get(o).map(|ob| &$($m)? ob.data)) {
+                    (WaitReason::Mutex(_), Some(ObjData::Mutex { waiters, .. }))
+                    | (WaitReason::Cond(_), Some(ObjData::Cond { waiters })) => Some(waiters),
+                    (WaitReason::PortWait(_), Some(ObjData::Port { server_q, .. }))
+                    | (WaitReason::PsetWait(_), Some(ObjData::Pset { server_q, .. })) => {
+                        Some(server_q)
+                    }
+                    (WaitReason::OnewaySend(_), Some(ObjData::Port { oneway_senders: q, .. }))
+                    | (
+                        WaitReason::OnewayReceive(_),
+                        Some(ObjData::Port { oneway_receivers: q, .. }),
+                    ) => Some(q),
+                    _ => None,
+                }
+            }
+        }
+    }};
+}
+
 mod dispatch;
 mod ipc;
 mod locktable;
@@ -41,21 +84,23 @@ use fluke_arch::{Cpu, Program, ProgramId, Trap, UserRegs};
 use crate::config::{Config, ConfigError, ExecModel};
 use crate::conn::Connection;
 use crate::events::{EventKind, EventQueue};
-use crate::ids::{Arena, ObjId, SpaceId, ThreadId};
+use crate::ids::{Arena, SpaceId, ThreadId};
 use crate::kfault::Kfault;
 use crate::kprof::{Kprof, Phase};
 use crate::kspan::Kspan;
 use crate::kstat::Stats;
-use crate::object::{ObjData, ObjectTable};
+use crate::object::ObjectTable;
 use crate::phys::PhysMem;
 use crate::probe::Probe;
 use crate::sched::{ClockIndex, PerCpuQueues};
 use crate::space::Space;
 use crate::thread::{NativeBody, RunState, Thread, WaitReason};
 use crate::trace::Tracer;
+use crate::waitq::WaitQueue;
 
 use locktable::LockTable;
 pub use mem::SpaceMemAdapter;
+
 pub use run::RunExit;
 
 /// A debugger-interface memory access hit an unmapped, non-derivable
@@ -302,15 +347,36 @@ impl Kernel {
     }
 
     /// The first broken cross-structure invariant, if any. Checked so
-    /// far: every run-queue entry names a live Ready thread (the run loop
-    /// dispatches queue entries without re-checking them), and the CPUs'
-    /// `current` slots agree with thread states — CPU `i`'s current thread
-    /// is live and `Running(i)`, and every `Running(i)` thread is CPU
-    /// `i`'s current thread.
+    /// far:
+    /// - run queues hold exactly the live Ready threads, each once (the
+    ///   run loop dispatches queue entries without re-checking them);
+    /// - a thread blocked for a queue-backed [`WaitReason`] is on the
+    ///   queue that reason names (a wait queue holds each member at most
+    ///   once by construction);
+    /// - the CPUs' `current` slots agree with thread states: CPU `i`'s
+    ///   current thread is live and `Running(i)`, and every `Running(i)`
+    ///   thread is CPU `i`'s current thread.
     pub(crate) fn check_invariants(&self) -> Result<(), &'static str> {
+        let mut queued = std::collections::HashSet::new();
         for t in self.runqs.threads() {
             if !self.threads.get(t.0).is_some_and(|th| th.is_ready()) {
                 return Err("run queue names a thread that is not a live Ready thread");
+            }
+            if !queued.insert(t) {
+                return Err("a Ready thread is queued twice");
+            }
+        }
+        if self.threads.iter().filter(|(_, th)| th.is_ready()).count() != queued.len() {
+            return Err("a Ready thread is on no run queue");
+        }
+        for (t, th) in self.threads.iter() {
+            if let RunState::Blocked(reason) = th.state {
+                if self
+                    .wait_queue(reason)
+                    .is_some_and(|q| !q.contains(ThreadId(t)))
+                {
+                    return Err("a blocked thread is not on the wait queue its reason names");
+                }
             }
         }
         for (i, slot) in self.cpus.iter().enumerate() {
@@ -366,15 +432,12 @@ impl Kernel {
     }
 
     /// If `t` is running on some processor, clear that processor's current
-    /// slot (used by destruction and state installation, which may target
-    /// a thread on another CPU).
+    /// slot (used by destruction, state installation and hard faults, which
+    /// may target a thread on another CPU). Call it before overwriting the
+    /// thread's `Running(i)` state: that state names the slot.
     pub(crate) fn clear_running_cpu(&mut self, t: ThreadId) {
-        // Scan the slots directly: callers may already have overwritten
-        // the thread's run state.
-        for slot in &mut self.cpus {
-            if slot.current == Some(t) {
-                slot.current = None;
-            }
+        if let Some(RunState::Running(i)) = self.threads.get(t.0).map(|th| th.state) {
+            self.cpus[i].current = None;
         }
     }
 
@@ -1228,10 +1291,11 @@ impl Kernel {
         }
     }
 
-    /// Wake a thread blocked in `Sleep` (or any wait, for timer wakes used
-    /// by `thread_sleep`), recording the wake time for latency accounting.
-    /// A timer wake *completes* a pending `thread_sleep` call (otherwise
-    /// the atomic restart would simply re-enter the sleep).
+    /// Timer wake of a blocked thread, recording the wake time for latency
+    /// accounting. A timer wake *completes* a pending `thread_sleep` call
+    /// (otherwise the atomic restart would simply re-enter the sleep); any
+    /// other wait is unlinked and its call restarts from the registers,
+    /// exactly as after `thread_interrupt`.
     fn wake_from_sleep(&mut self, t: ThreadId, at: Cycles) {
         let Some(th) = self.threads.get_mut(t.0) else {
             return;
@@ -1241,25 +1305,21 @@ impl Kernel {
         }
         let sleeping_call = matches!(th.state, RunState::Blocked(WaitReason::Sleep))
             && th.inflight == Some(Sys::ThreadSleep);
-        th.woken_at = at;
         // Timer wakes are the "event raised" edge of the kprof
         // preemption-latency probe; written unconditionally (and consumed
         // at dispatch) so the field never influences simulated behavior.
         th.wake_pending = at;
         if sleeping_call {
+            // Completion wakes the thread as of now; latency counts from
+            // the timer's instant.
             self.complete_blocked(t, ErrorCode::Success);
             if let Some(th) = self.threads.get_mut(t.0) {
                 th.woken_at = at;
-                th.wake_pending = at;
             }
-            return;
+        } else {
+            self.unlink_waiter(t);
+            self.make_runnable(t, at);
         }
-        self.probe(Probe::Runnable { thread: t, at });
-        let th = self.threads.get_mut(t.0).expect("checked above");
-        th.state = RunState::Ready;
-        let prio = th.priority;
-        self.sched_push(t, prio);
-        self.note_wake_priority(prio);
     }
 
     /// Whether `t` is blocked for exactly `reason`.
@@ -1269,19 +1329,30 @@ impl Kernel {
 
     /// Make an (already unlinked) blocked thread runnable.
     pub(crate) fn unblock(&mut self, t: ThreadId) {
-        let now = self.cur_cpu_mut().cpu.now;
         let Some(th) = self.threads.get(t.0) else {
             return;
         };
         debug_assert!(th.is_blocked(), "unblock of non-blocked {t}");
-        self.probe(Probe::Runnable { thread: t, at: now });
-        let th = self.threads.get_mut(t.0).expect("checked above");
+        let now = self.now();
+        self.make_runnable(t, now);
+    }
+
+    /// The one wake path: put `t`, which is leaving a wait (or has just
+    /// had new state installed), on its home run queue as of `at`. Its
+    /// registers are already a complete continuation, so every wake is
+    /// the same operation whatever its cause: enqueue, unpark an idle
+    /// processor to pick the thread up, and request a reschedule if it
+    /// outranks a running thread. The caller has unlinked it from any
+    /// wait queue and cleared any CPU slot it held.
+    pub(crate) fn make_runnable(&mut self, t: ThreadId, at: Cycles) {
+        self.probe(Probe::Runnable { thread: t, at });
+        let th = self.threads.get_mut(t.0).expect("live thread");
         th.state = RunState::Ready;
-        th.woken_at = now;
+        th.woken_at = at;
         let prio = th.priority;
         self.sched_push(t, prio);
         self.probe(Probe::Wake { thread: t });
-        self.kick_parked(now);
+        self.kick_parked(at);
         self.note_wake_priority(prio);
     }
 
@@ -1384,49 +1455,23 @@ impl Kernel {
         self.unblock(t);
     }
 
+    /// The wait queue a thread blocked for `reason` is linked on (see
+    /// `wait_queue_of!`).
+    fn wait_queue(&self, reason: WaitReason) -> Option<&WaitQueue<ThreadId>> {
+        wait_queue_of!(self, reason, get)
+    }
+
     /// Unlink a blocked thread from whatever wait bookkeeping holds it.
     /// Its registers remain a complete continuation, so after unlinking it
     /// can be woken (restarting the call) or have new state installed.
+    /// Connection-linked waits need no unlinking: the connection state is
+    /// consistent with a restart (a pending unaccepted connect stays
+    /// queued on the port; the restart finds it again).
     pub(crate) fn unlink_waiter(&mut self, t: ThreadId) {
         let Some(RunState::Blocked(reason)) = self.threads.get(t.0).map(|th| th.state) else {
             return;
         };
-        fn obj(objects: &mut ObjectTable, o: ObjId) -> Option<&mut ObjData> {
-            objects.get_mut(o).map(|ob| &mut ob.data)
-        }
-        let q = match reason {
-            WaitReason::Mutex(o) => match obj(&mut self.objects, o) {
-                Some(ObjData::Mutex { waiters, .. }) => Some(waiters),
-                _ => None,
-            },
-            WaitReason::Cond(o) => match obj(&mut self.objects, o) {
-                Some(ObjData::Cond { waiters }) => Some(waiters),
-                _ => None,
-            },
-            WaitReason::PortWait(o) => match obj(&mut self.objects, o) {
-                Some(ObjData::Port { server_q, .. }) => Some(server_q),
-                _ => None,
-            },
-            WaitReason::PsetWait(o) => match obj(&mut self.objects, o) {
-                Some(ObjData::Pset { server_q, .. }) => Some(server_q),
-                _ => None,
-            },
-            WaitReason::OnewaySend(o) => ipc::oneway_queue(&mut self.objects, o, true),
-            WaitReason::OnewayReceive(o) => ipc::oneway_queue(&mut self.objects, o, false),
-            WaitReason::Join(target) => self.threads.get_mut(target.0).map(|x| &mut x.joiners),
-            WaitReason::Donate(d) => self.threads.get_mut(d.0).map(|x| &mut x.donors),
-            WaitReason::SpaceIdle(sid) => self.spaces.get_mut(sid.0).map(|x| &mut x.idle_waiters),
-            // Connection-linked waits: the connection state is consistent
-            // with a restart; nothing to unlink. (A pending unaccepted
-            // connect stays queued on the port; the restart finds it
-            // again.)
-            WaitReason::IpcConnect(_)
-            | WaitReason::IpcSend(_)
-            | WaitReason::IpcReceive(_)
-            | WaitReason::PagerReply(_)
-            | WaitReason::Sleep => None,
-        };
-        if let Some(q) = q {
+        if let Some(q) = wait_queue_of!(self, reason, get_mut, mut) {
             q.cancel(t, &mut self.stats.waitq);
         }
     }
@@ -1447,6 +1492,7 @@ impl Kernel {
         if th.is_ready() {
             self.sched_remove(t);
         }
+        self.clear_running_cpu(t);
         let th = self.threads.get_mut(t.0).unwrap();
         th.state = RunState::Halted;
         let mut joiners = std::mem::take(&mut th.joiners);
@@ -1454,7 +1500,6 @@ impl Kernel {
         let conn = th.ipc.conn.take();
         th.ipc.role = None;
         let space = th.space;
-        self.clear_running_cpu(t);
         self.probe(Probe::Halt { thread: t });
         self.stats.kmem_delta(-(self.cfg.per_thread_kmem() as i64));
         for j in joiners.drain(&mut self.stats.waitq) {

@@ -46,10 +46,21 @@ impl Kernel {
     /// With `krec` armed, each call is logged as a [`crate::krec::RunWindow`]
     /// bracketed by start/end state digests; the recorder reads but never
     /// mutates simulated state, so armed and unarmed runs are bit-identical.
+    /// Debug builds check the kernel's cross-structure invariants (run
+    /// queues, wait queues, CPU slots) on every return.
     pub fn run(&mut self, limit: Option<Cycles>) -> RunExit {
-        if self.krec.is_none() {
-            return self.run_inner(limit);
-        }
+        let exit = if self.krec.is_none() {
+            self.run_inner(limit)
+        } else {
+            self.run_recorded(limit)
+        };
+        debug_assert_eq!(self.check_invariants(), Ok(()), "at run exit");
+        exit
+    }
+
+    /// [`Kernel::run`] under the armed recorder: one [`crate::krec::RunWindow`]
+    /// per call.
+    fn run_recorded(&mut self, limit: Option<Cycles>) -> RunExit {
         let Ok(start_digest) = self.state_digest() else {
             // Outside the snapshot contract (native-bodied thread): run
             // unrecorded rather than perturb or fail the run.

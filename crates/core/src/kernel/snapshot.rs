@@ -547,6 +547,42 @@ mod tests {
         assert!(Kernel::restore_from(&k.snapshot_bytes().unwrap()).is_ok());
     }
 
+    #[test]
+    fn restore_rejects_a_blocked_thread_missing_from_its_wait_queue() {
+        use crate::object::ObjData;
+        use crate::thread::WaitReason;
+        use fluke_api::abi::ARG_HANDLE;
+        let mut k = Kernel::new(Config::process_np());
+        let space = k.create_space();
+        k.grant_pages(space, 0x1000, 0x1000, true);
+        let m = k.loader_create(space, 0x1000, fluke_api::ObjType::Mutex);
+        let mut a = fluke_arch::Assembler::new("lock twice");
+        for _ in 0..2 {
+            a.movi(ARG_HANDLE, 0x1000);
+            a.movi(fluke_arch::Reg::Eax, fluke_api::Sys::MutexLock.num());
+            a.syscall();
+        }
+        a.halt();
+        let pid = k.register_program(a.finish());
+        let t = k.spawn_thread(space, pid, fluke_arch::UserRegs::new(), 8);
+        assert_eq!(k.run(None), super::super::RunExit::Deadlock);
+        assert_eq!(
+            k.thread_run_state(t),
+            RunState::Blocked(WaitReason::Mutex(m))
+        );
+        assert!(Kernel::restore_from(&k.snapshot_bytes().unwrap()).is_ok());
+        let Some(ObjData::Mutex { waiters, .. }) = k.objects.get_mut(m).map(|o| &mut o.data) else {
+            panic!("mutex");
+        };
+        assert!(waiters.cancel(t, &mut k.stats.waitq));
+        assert_eq!(
+            Kernel::restore_from(&k.snapshot_bytes().unwrap()).err(),
+            Some(SnapError::Invalid(
+                "a blocked thread is not on the wait queue its reason names"
+            ))
+        );
+    }
+
     /// A fresh `cfg` kernel's image with its (empty) lock table replaced
     /// by `entries`, re-stamped.
     fn with_locks(cfg: Config, entries: &[(LockKey, u64)]) -> Vec<u8> {

@@ -293,18 +293,12 @@ impl Kernel {
             // Restore: the frame is the complete new truth.
             th.regs = frame.regs;
             th.priority = frame.priority;
-            th.state = RunState::Ready;
         }
-        self.cur_cpu_mut().current = None;
-        self.sched_push(victim, frame.priority);
-        let now = self.now();
+        self.clear_running_cpu(victim);
         // The victim keeps its open span across the round-trip (the frame
         // is the same request's continuation); it just waits to run again.
-        self.probe(Probe::Runnable {
-            thread: victim,
-            at: now,
-        });
-        self.kick_parked(now);
+        let now = self.now();
+        self.make_runnable(victim, now);
         self.stats.faults_injected[KfaultKind::ExtractRestore.index()] += 1;
         self.probe(Probe::Injected {
             thread: victim,

@@ -19,13 +19,16 @@
 //!   with the flow checker armed; the oracle is "no panic, bounded
 //!   termination, no flow-graph escape".
 //!
+//! Both tiers also check the kernel's cross-structure invariants (run
+//! queues, wait queues, CPU slots) after every program.
+//!
 //! **Coverage** is the set of signatures a run lights up — hashes over
 //! kstat counter magnitudes, kprof phase paths, ktrace event bigrams,
 //! and per-entrypoint result codes, all signals the kernel already
 //! emits for free. Programs producing new signatures are minimized
 //! ([`minimize`]) and kept in a deterministic corpus
-//! ([`corpus_to_text`]). Every divergence, panic, hang, or flowcheck
-//! violation becomes a structured [`Finding`].
+//! ([`corpus_to_text`]). Every divergence, panic, hang, flowcheck
+//! violation or broken kernel invariant becomes a structured [`Finding`].
 //!
 //! Everything is deterministic from the campaign seed: same seed + same
 //! corpus ⇒ bit-identical schedule, coverage map, and final corpus.
@@ -439,6 +442,8 @@ pub struct Exec {
     pub sigs: BTreeSet<u64>,
     /// Human-readable descriptions of any flowcheck violations.
     pub violations: Vec<String>,
+    /// The first kernel invariant broken when the run ended, if any.
+    pub broken_invariant: Option<&'static str>,
 }
 
 /// FNV-1a digest of a text blob (stable across hosts; the bench report
@@ -506,6 +511,7 @@ pub fn run_program(cfg: Config, prog: &FuzzProgram) -> Exec {
     let deadline = k.now() + RUN_BUDGET;
     let _ = k.run(Some(deadline));
     let halted = k.thread_halted(t);
+    let broken_invariant = k.check_invariants().err();
     let outcome = Outcome::capture(
         &mut k,
         &[t],
@@ -611,6 +617,7 @@ pub fn run_program(cfg: Config, prog: &FuzzProgram) -> Exec {
         halted,
         sigs,
         violations,
+        broken_invariant,
     }
 }
 
@@ -636,6 +643,14 @@ pub enum FindingKind {
     /// The flow checker recorded a violation.
     FlowViolation {
         /// Human-readable violation description.
+        desc: String,
+    },
+    /// The kernel's cross-structure invariant check failed after the
+    /// program ran.
+    Invariant {
+        /// Label of the configuration.
+        config: String,
+        /// The broken invariant.
         desc: String,
     },
     /// A differential-tier program failed to halt in budget (its
@@ -668,6 +683,7 @@ impl Finding {
                 let head = desc.split(" at ").next().unwrap_or(desc);
                 format!("flow:{head}")
             }
+            FindingKind::Invariant { desc, .. } => format!("invariant:{desc}"),
             FindingKind::Hang { config } => format!("hang:{config}"),
         }
     }
@@ -715,6 +731,15 @@ pub fn judge(tier: Tier, prog: &FuzzProgram) -> (BTreeSet<u64>, Vec<Finding>) {
                 for desc in &exec.violations {
                     findings.push(Finding {
                         kind: FindingKind::FlowViolation { desc: desc.clone() },
+                        program: prog.clone(),
+                    });
+                }
+                if let Some(desc) = exec.broken_invariant {
+                    findings.push(Finding {
+                        kind: FindingKind::Invariant {
+                            config: label.to_string(),
+                            desc: desc.to_string(),
+                        },
                         program: prog.clone(),
                     });
                 }

@@ -321,3 +321,68 @@ fn self_set_state_is_rejected() {
     assert!(run_to_halt(&mut k, &[t], 10_000_000));
     assert_eq!(k.read_mem_u32(p.space, rec), ErrorCode::InvalidArg as u32);
 }
+
+/// A host `wake_at` aimed at a thread blocked on a mutex unlinks it from
+/// the mutex's waiters, like `thread_interrupt` does: its restarted
+/// `mutex_lock` blocks again with the thread queued once, and an unlock
+/// that lands between the wake and the restart finds no stale waiter to
+/// wake (and enqueue) a second time.
+#[test]
+fn host_wake_of_a_mutex_waiter_unlinks_it() {
+    let mut k = Kernel::new(Config::process_np());
+    let mut p = ChildProc::new(&mut k);
+    let h_mutex = p.alloc_obj();
+    let rec = p.mem_base + 0x1000;
+
+    // The holder takes the mutex and sleeps on it until woken; then it
+    // unlocks and computes for ~0.5ms.
+    let mut a = Assembler::new("holder");
+    a.sys_h(Sys::MutexCreate, h_mutex);
+    a.mutex_lock(h_mutex);
+    a.sys(Sys::ThreadSleep);
+    a.mutex_unlock(h_mutex);
+    a.compute(100_000);
+    a.halt();
+    let holder = p.start(&mut k, a.finish(), 16);
+    let mut a = Assembler::new("waiter");
+    a.mutex_lock(h_mutex);
+    a.movi(Reg::Ebp, rec);
+    a.store(Reg::Ebp, 0, Reg::Eax);
+    a.halt();
+    let waiter = p.start(&mut k, a.finish(), 8);
+    let blocked_on_mutex = |k: &Kernel| {
+        matches!(
+            k.thread_run_state(waiter),
+            RunState::Blocked(WaitReason::Mutex(_))
+        )
+    };
+    // Restore checks the kernel's invariants: each Ready thread is on one
+    // run queue once, and a blocked thread is on its reason's wait queue.
+    let check = |k: &Kernel| {
+        Kernel::restore_from(&k.snapshot_bytes().unwrap()).expect("consistent image");
+    };
+    k.run(Some(1_000_000));
+    assert_eq!(
+        k.thread_run_state(holder),
+        RunState::Blocked(WaitReason::Sleep)
+    );
+    assert!(blocked_on_mutex(&k));
+
+    // The waiter alone: the restart finds the mutex still held.
+    k.wake_at(waiter, 2_000_000);
+    k.run(Some(3_000_000));
+    assert!(blocked_on_mutex(&k));
+    check(&k);
+
+    // Both at once: the holder outranks the waiter, so it unlocks before
+    // the waiter's restart and is still computing when the run stops.
+    k.wake_at(waiter, 4_000_000);
+    k.wake_at(holder, 4_000_000);
+    k.run(Some(4_050_000));
+    assert!(matches!(k.thread_run_state(holder), RunState::Running(_)));
+    assert_eq!(k.thread_run_state(waiter), RunState::Ready);
+    check(&k);
+    assert!(run_to_halt(&mut k, &[holder, waiter], 100_000_000));
+    assert_eq!(k.read_mem_u32(p.space, rec), ErrorCode::Success as u32);
+    check(&k);
+}

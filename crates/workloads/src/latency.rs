@@ -49,23 +49,27 @@ mod tests {
     use fluke_arch::Assembler;
     use fluke_core::Config;
 
-    #[test]
-    fn probe_fires_once_per_period_when_cpu_is_idle_or_user() {
-        let mut k = Kernel::new(Config::process_np());
+    /// A ~10ms pure-compute spinner at `priority` beside the probe armed
+    /// every 1ms, run for exactly 10ms of simulated time.
+    fn probe_beside_spinner(cfg: Config, priority: u32) -> Kernel {
+        let mut k = Kernel::new(cfg);
         let space = k.create_space();
         k.grant_pages(space, 0x1000, 0x1000, true);
-        // A pure-compute thread spinning for ~10ms.
         let mut a = Assembler::new("spin");
         for _ in 0..2100 {
             a.compute(1000);
         }
         a.halt();
         let pid = k.register_program(a.finish());
-        let t = k.spawn_thread(space, pid, fluke_arch::UserRegs::new(), 8);
+        k.spawn_thread(space, pid, fluke_arch::UserRegs::new(), priority);
         install_probe(&mut k, 1);
-        // Run exactly 10ms of simulated time.
         k.run(Some(ms_to_cycles(10)));
-        let _ = t;
+        k
+    }
+
+    #[test]
+    fn probe_fires_once_per_period_when_cpu_is_idle_or_user() {
+        let k = probe_beside_spinner(Config::process_np(), 8);
         // ~9-10 periods elapsed; nearly all should have run with tiny
         // latency (user-mode preemption is immediate).
         assert!(k.stats.probe_runs >= 8, "runs={}", k.stats.probe_runs);
@@ -73,6 +77,25 @@ mod tests {
         let max = k.stats.probe_hist.max();
         // Below ~2000 cycles (10µs): dispatch + at most one Compute(1000).
         assert!(max < 2_000, "max latency {max} cycles");
+    }
+
+    /// On a multiprocessor, a timer wake unparks an idle processor: the
+    /// probe runs on the second CPU instead of waiting behind a spinner
+    /// that outranks it on the first.
+    #[test]
+    fn probe_wake_unparks_an_idle_cpu() {
+        let cfg = Config::process_np().with_cpus(2).with_tracing(1 << 16);
+        let k = probe_beside_spinner(cfg, 30);
+        let runs = k.stats.probe_runs;
+        assert!(runs >= 8, "runs={runs}");
+        assert_eq!(k.stats.probe_misses, 0);
+        let wakes = k
+            .trace
+            .merged()
+            .iter()
+            .filter(|r| r.event.name() == "wake")
+            .count() as u64;
+        assert_eq!(wakes, runs, "one wake record per probe run");
     }
 
     #[test]
