@@ -6,16 +6,20 @@
 //! full buffer, per-descriptor errors (a destroyed port mid-batch)
 //! leaving the rest of the batch live, a descriptor ring straddling an
 //! unmapped page (faulted mid-batch and replayed at the `edx` cursor),
-//! FIFO between spilled/plain senders and the kernel buffer, and a
-//! kfault extract-restore sweep racing wakes at the wait-queue sites.
+//! FIFO between spilled/plain senders and the kernel buffer, a kfault
+//! extract-restore sweep racing wakes at the wait-queue sites, and the
+//! flush of buffered messages into blocked receivers: soft and hard
+//! faults in the receiver's window, a zero-byte window, and preemption
+//! points.
 
 use fluke_api::abi::{
     ARG_COUNT, ARG_HANDLE, ARG_RBUF, ARG_SBUF, ARG_VAL, PAGE_SIZE, PORT_BUF_MSGS, SUBMIT_DONE,
-    SUBMIT_OP_NOWAIT, SUBMIT_OP_RECV, SUBMIT_RESULT_SHIFT,
+    SUBMIT_MAX_MSG, SUBMIT_OP_NOWAIT, SUBMIT_OP_RECV, SUBMIT_RESULT_SHIFT,
 };
 use fluke_api::{ErrorCode, ObjType, Sys};
 use fluke_arch::{Assembler, Reg};
 use fluke_core::{Config, Kernel, KfaultConfig, KfaultKind};
+use fluke_user::pager::PagerSetup;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
@@ -440,4 +444,248 @@ fn extract_restore_sweep_over_batched_workload() {
             "extract-restore at site {site} changed the output"
         );
     }
+}
+
+// ----------------------------------------------------------------------
+// Flush edge cases: a buffered message delivered into a blocked receiver
+// by the submitting thread, which is not an end of the transfer.
+// ----------------------------------------------------------------------
+
+/// The paged receive window of [`paged_rig`]'s receiver.
+const PAGED_BUF: u32 = 0x0040_0000;
+
+/// The paged-buffer rig of `tests/ipc_faults.rs`, cut down to one-way
+/// delivery: a submitter process `p` holding the port, a receiver process
+/// `q` in another space holding a reference to it, and a user pager.
+/// `q`'s memory from [`PAGED_BUF`] up is demand-paged from the pager's
+/// region: derivable (a soft fault) when `prefill`, else the pager must
+/// supply it (a hard fault). The page just below is granted directly.
+struct PagedRig {
+    k: Kernel,
+    p: ChildProc,
+    q: ChildProc,
+    h_port: u32,
+    h_ref: u32,
+}
+
+fn paged_rig(cfg: Config, prefill: bool) -> PagedRig {
+    let mut k = Kernel::new(cfg);
+    let pager = PagerSetup::boot(&mut k, 1 << 22, 12);
+    let mut p = ChildProc::with_mem(&mut k, 0x0010_0000, 0x8000);
+    let mut q = ChildProc::with_mem(&mut k, 0x0020_0000, 0x4000);
+    let h_port = p.alloc_obj();
+    let h_ref = q.alloc_obj();
+    let port = k.loader_create(p.space, h_port, ObjType::Port);
+    k.loader_ref(q.space, h_ref, port);
+    k.grant_pages(q.space, PAGED_BUF - PAGE_SIZE, PAGE_SIZE, true);
+    let mut slot = 0x1900;
+    while k.object_at(pager.space, slot).is_some() {
+        slot += 32;
+    }
+    k.loader_mapping(
+        pager.space,
+        slot,
+        q.space,
+        PAGED_BUF,
+        1 << 20,
+        pager.region,
+        0,
+        true,
+    );
+    if prefill {
+        k.grant_pages(pager.space, pager.backing_base, 1 << 20, true);
+    }
+    PagedRig {
+        k,
+        p,
+        q,
+        h_port,
+        h_ref,
+    }
+}
+
+/// A receiver program: one `ipc_wait_receive_oneway(port, rbuf, window)`.
+fn receive_prog(name: &str, port_h: u32, rbuf: u32, window: u32) -> Assembler {
+    let mut a = Assembler::new(name);
+    a.movi(ARG_HANDLE, port_h);
+    a.movi(ARG_RBUF, rbuf);
+    a.movi(ARG_COUNT, window);
+    a.sys(Sys::IpcWaitReceiveOneway);
+    a.halt();
+    a
+}
+
+/// A `len`-byte message with a recognizable pattern.
+fn pattern(len: u32) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// The flush resolves a soft fault in a receiver's space as it copies,
+/// and carries on in place: it is not a dispatch of either end, so there
+/// is no call to restart.
+#[test]
+fn flush_into_soft_window_in_another_space_retries_in_place() {
+    let mut r = paged_rig(Config::process_np(), true);
+    let ring = r.p.mem_base + 0x1000;
+    let msg = r.p.mem_base + 0x2000;
+    let data = pattern(64);
+    r.k.write_mem(r.p.space, msg, &data);
+    r.k.write_mem(r.p.space, ring, &desc(0, r.h_port, msg, 64));
+
+    let rt = r.q.start(
+        &mut r.k,
+        receive_prog("receiver", r.h_ref, PAGED_BUF, 64).finish(),
+        10,
+    );
+    let st =
+        r.p.start(&mut r.k, submit_prog("submitter", ring, 1).finish(), 8);
+    assert!(run_to_halt(&mut r.k, &[rt, st], 100_000_000));
+
+    assert_eq!(r.k.thread_regs(rt).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.read_mem(r.q.space, PAGED_BUF, 64), data);
+    assert_eq!(r.k.stats.hard_faults, 0);
+    assert!(
+        r.k.stats.fault_records.iter().any(|f| f.during_ipc),
+        "the flush should have soft-faulted on the receiver's window"
+    );
+    assert_eq!(r.k.stats.restarts, 0, "a flush soft fault restarted a call");
+    assert_eq!(r.k.stats.ipc_messages, 1);
+}
+
+/// A receiver whose window hard-faults part-way through a flushed message
+/// goes to its pager; the rest of the message continues from where it
+/// stopped into the next blocked receiver, and the faulted receiver takes
+/// the next message once its page is in.
+#[test]
+fn flush_hard_fault_resumes_the_message_in_the_next_receiver() {
+    let mut r = paged_rig(Config::process_np(), false);
+    let ring = r.p.mem_base + 0x1000;
+    let msg_a = r.p.mem_base + 0x2000;
+    let msg_b = r.p.mem_base + 0x3000;
+    let r2buf = r.p.mem_base + 0x4000;
+    let a_bytes = pattern(2048);
+    r.k.write_mem(r.p.space, msg_a, &a_bytes);
+    r.k.write_mem(r.p.space, msg_b, b"second message!!");
+    let mut image = desc(0, r.h_port, msg_a, 2048);
+    image.extend(desc(0, r.h_port, msg_b, 16));
+    r.k.write_mem(r.p.space, ring, &image);
+
+    // The first receiver's window straddles the granted page and the
+    // unpopulated one: 1000 bytes land, then the copy hard-faults.
+    let r1 = r.q.start(
+        &mut r.k,
+        receive_prog("r1", r.h_ref, PAGED_BUF - 1000, 4096).finish(),
+        11,
+    );
+    let r2 = r.p.start(
+        &mut r.k,
+        receive_prog("r2", r.h_port, r2buf, 4096).finish(),
+        10,
+    );
+    let st =
+        r.p.start(&mut r.k, submit_prog("submitter", ring, 2).finish(), 8);
+    assert!(run_to_halt(&mut r.k, &[r1, r2, st], 500_000_000));
+
+    assert!(r.k.stats.hard_faults >= 1, "no hard fault during the flush");
+    assert_eq!(
+        r.k.read_mem(r.q.space, PAGED_BUF - 1000, 1000),
+        a_bytes[..1000].to_vec(),
+        "head of the message in the faulted receiver"
+    );
+    assert_eq!(
+        r.k.read_mem(r.p.space, r2buf, 1048),
+        a_bytes[1000..].to_vec(),
+        "the message must resume at its position in the next receiver"
+    );
+    assert_eq!(r.k.thread_regs(r2).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.thread_regs(r2).get(ARG_COUNT), 4096 - 1048);
+    // The faulted receiver restarted its wait at the advanced window and
+    // took the second message there.
+    assert_eq!(
+        r.k.read_mem(r.q.space, PAGED_BUF, 16),
+        b"second message!!".to_vec()
+    );
+    assert_eq!(r.k.thread_regs(r1).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.thread_regs(st).get(ARG_VAL), 2);
+    // Two one-way messages, plus a fault message and its reply per hard
+    // fault.
+    assert_eq!(r.k.stats.ipc_messages, 2 + 2 * r.k.stats.hard_faults);
+}
+
+/// A flushed message meeting a zero-byte window is dropped, and the
+/// receiver learns it with `Truncated` (plain one-way semantics).
+#[test]
+fn flush_into_zero_byte_window_truncates() {
+    let mut k = Kernel::new(Config::process_np());
+    let mut p = ChildProc::with_mem(&mut k, 0x0010_0000, 0x8000);
+    let h_port = p.alloc_obj();
+    k.loader_create(p.space, h_port, ObjType::Port);
+    let ring = p.mem_base + 0x1000;
+    let msg = p.mem_base + 0x2000;
+    let rbuf = p.mem_base + 0x3000;
+    k.write_mem(p.space, msg, b"dropped!");
+    k.write_mem(p.space, ring, &desc(0, h_port, msg, 8));
+
+    let rt = p.start(
+        &mut k,
+        receive_prog("receiver", h_port, rbuf, 0).finish(),
+        10,
+    );
+    let st = p.start(&mut k, submit_prog("submitter", ring, 1).finish(), 8);
+    assert!(run_to_halt(&mut k, &[rt, st], 100_000_000));
+
+    assert_eq!(k.thread_regs(rt).get(Reg::Eax), ErrorCode::Truncated as u32);
+    assert_eq!(
+        k.read_mem_u32(p.space, ring),
+        result_word(0, ErrorCode::Success),
+        "the send itself completed when it buffered"
+    );
+    assert_eq!(k.stats.ipc_bytes, 0);
+    assert_eq!(
+        k.stats.ipc_messages, 0,
+        "a truncated message is not counted"
+    );
+}
+
+/// Under full preemption a buffered message of `SUBMIT_MAX_MSG` bytes
+/// (one preemption chunk) costs the receiving thread one preemption
+/// check when it takes the message from the buffer itself, and costs the
+/// flushing thread none: the flush takes no preemption points.
+#[test]
+fn flush_takes_no_preemption_point_and_a_buffered_receive_takes_one() {
+    // Kernel cycles of one run with the check costing `check` cycles.
+    fn kernel_cycles(receiver_first: bool, check: u64) -> u64 {
+        let mut k = Kernel::new(Config::process_fp());
+        k.cost.preempt_check = check;
+        let mut p = ChildProc::with_mem(&mut k, 0x0010_0000, 0x8000);
+        let h_port = p.alloc_obj();
+        k.loader_create(p.space, h_port, ObjType::Port);
+        let ring = p.mem_base + 0x1000;
+        let msg = p.mem_base + 0x2000;
+        let rbuf = p.mem_base + 0x4000;
+        k.write_mem(p.space, msg, &pattern(SUBMIT_MAX_MSG));
+        k.write_mem(p.space, ring, &desc(0, h_port, msg, SUBMIT_MAX_MSG));
+        let (r_prio, s_prio) = if receiver_first { (10, 8) } else { (8, 10) };
+        let recv = receive_prog("receiver", h_port, rbuf, SUBMIT_MAX_MSG).finish();
+        let rt = p.start(&mut k, recv, r_prio);
+        let st = p.start(&mut k, submit_prog("submitter", ring, 1).finish(), s_prio);
+        assert!(run_to_halt(&mut k, &[rt, st], 100_000_000));
+        assert_eq!(
+            k.read_mem(p.space, rbuf, SUBMIT_MAX_MSG),
+            pattern(SUBMIT_MAX_MSG)
+        );
+        assert_eq!(k.thread_regs(rt).get(Reg::Eax), ErrorCode::Success as u32);
+        k.stats.kernel_cycles
+    }
+    // Full preemption adds its 2/5 lock surcharge to every kernel charge.
+    let one_check = 1000 + 1000 * 2 / 5;
+    let checks = |receiver_first| {
+        (kernel_cycles(receiver_first, 1000) - kernel_cycles(receiver_first, 0)) / one_check
+    };
+    assert_eq!(checks(true), 0, "the flush took a preemption check");
+    assert_eq!(
+        checks(false),
+        1,
+        "a buffered receive of one chunk takes one check"
+    );
 }
