@@ -1148,16 +1148,20 @@ impl Kernel {
                 self.complete_blocked(peer, ErrorCode::Truncated);
                 Ok(SysOutcome::Done(ErrorCode::Truncated))
             }
-            PumpOut::BlockedCurrent | PumpOut::RestartCurrent | PumpOut::Preempted => {
+            PumpOut::BlockedCurrent
+            | PumpOut::RestartCurrent
+            | PumpOut::Preempted
+            | PumpOut::FatalCurrent => {
                 // The transfer restarts later (the current thread's fault
-                // is serviced, or it runs again): the peer goes back to
-                // the head of its queue.
+                // is serviced, or it runs again) or never (it died): the
+                // peer goes back to the head of its queue.
                 if let Some(q) = wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
                     q.requeue_front(peer, &mut self.stats.waitq);
                 }
                 Ok(match out {
                     PumpOut::BlockedCurrent => SysOutcome::Block,
                     PumpOut::Preempted => SysOutcome::Preempted,
+                    PumpOut::FatalCurrent => SysOutcome::Kill("fatal IPC fault"),
                     _ => {
                         cx.set_reg(self, Reg::Eax, oneway_restart(send).num());
                         SysOutcome::Chain
@@ -1165,7 +1169,6 @@ impl Kernel {
                 })
             }
             PumpOut::PeerFaulted => self.oneway_wait(cx, port, send),
-            PumpOut::FatalCurrent => Ok(SysOutcome::Kill("fatal IPC fault")),
             PumpOut::FatalPeer => Err(Self::fail(ErrorCode::PeerDisconnected)),
         }
     }

@@ -262,6 +262,46 @@ fn oneway_receive_drains_blocked_sender() {
     assert_eq!(r.k.stats.ipc_messages, 1);
 }
 
+/// A one-way receiver that dies in the pump (its window is unmapped) does
+/// not strand the blocked sender it paired with: the sender keeps its
+/// place at the head of the port's queue and the next receiver takes the
+/// message.
+#[test]
+fn oneway_receiver_killed_in_pump_requeues_its_sender() {
+    let mut r = rig(Config::interrupt_np());
+    let sbuf = r.server.mem_base + 0x1000;
+    let cbuf = r.client.mem_base + 0x1000;
+
+    let mut a = Assembler::new("tx");
+    a.movi(ARG_HANDLE, r.h_ref);
+    a.movi(ARG_SBUF, cbuf);
+    a.movi(ARG_COUNT, 5);
+    a.sys(Sys::IpcSendOneway);
+    a.halt();
+    let ct = r.client.start(&mut r.k, a.finish(), 10);
+
+    let rx = |name: &str, rbuf: u32| {
+        let mut a = Assembler::new(name);
+        a.movi(ARG_HANDLE, r.h_port);
+        a.movi(ARG_RBUF, rbuf);
+        a.movi(ARG_COUNT, 32);
+        a.sys(Sys::IpcWaitReceiveOneway);
+        a.halt();
+        a.finish()
+    };
+    let (bad, good) = (rx("rx-unmapped", 0x0090_0000), rx("rx", sbuf));
+    r.server.start(&mut r.k, bad, 9);
+    let st = r.server.start(&mut r.k, good, 8);
+
+    r.k.write_mem(r.client.space, cbuf, b"fluke");
+    assert!(run_to_halt(&mut r.k, &[st, ct], 50_000_000));
+    assert_eq!(r.k.stats.fatal_faults, 1);
+    assert_eq!(r.k.read_mem(r.server.space, sbuf, 5), b"fluke".to_vec());
+    assert_eq!(r.k.thread_regs(st).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.thread_regs(ct).get(Reg::Eax), ErrorCode::Success as u32);
+    assert_eq!(r.k.stats.ipc_messages, 1);
+}
+
 /// `ipc_client_alert` promptly interrupts a server blocked in receive;
 /// the server's operation completes with Interrupted.
 #[test]
