@@ -516,13 +516,11 @@ impl Kernel {
         }
         // The whole destination window must fit below the top of the
         // address space; wrapping would marshal into low memory.
-        let bytes = (words.len() as u32) * 4;
-        if bytes > 0 && buf.checked_add(bytes - 1).is_none() {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        if !bytes.is_empty() && buf.checked_add(bytes.len() as u32 - 1).is_none() {
             return Err(Self::fail(ErrorCode::InvalidArg));
         }
-        for (i, w) in words.iter().enumerate() {
-            self.write_user_u32(t, buf + (i as u32) * 4, *w)?;
-        }
+        self.copy_to_user(t, buf, &bytes)?;
         cx.set_reg(self, ARG_VAL, words.len() as u32);
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
@@ -621,10 +619,12 @@ impl Kernel {
         if bytes > 0 && buf.checked_add(bytes - 1).is_none() {
             return Err(Self::fail(ErrorCode::InvalidArg));
         }
-        let mut words = Vec::with_capacity(n);
-        for i in 0..n {
-            words.push(self.read_user_u32(t, buf + (i as u32) * 4)?);
-        }
+        let mut bytes = vec![0u8; n * 4];
+        self.copy_from_user(t, buf, &mut bytes)?;
+        let words: Vec<u32> = bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+            .collect();
         self.klock_section();
         self.charge(self.cost.object_op);
         self.progress();

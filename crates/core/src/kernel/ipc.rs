@@ -26,7 +26,8 @@ use crate::conn::{ClientEnd, Connection, Dir};
 use crate::ids::{ConnId, ObjId, ThreadId};
 use crate::kprof::Phase;
 use crate::kstat::FaultSide;
-use crate::object::ObjData;
+use crate::object::{BufferedMsg, ObjData};
+use crate::phys::FrameId;
 use crate::probe::Probe;
 use crate::thread::{IpcRole, RunState, WaitReason};
 
@@ -80,7 +81,9 @@ impl AfterSend {
     }
 }
 
-/// One end of a data transfer.
+/// One end of a data transfer. A user end keeps its cursor in its
+/// registers; a kernel-held source keeps it beside the message (`pos`).
+/// Either way the pump advances it in place after every chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum XferEnd {
     /// A user thread; pointer/count live in its registers.
@@ -89,6 +92,9 @@ enum XferEnd {
     KernelSrc(ConnId),
     /// The kernel as message sink (exception IPC reply).
     KernelSink(ConnId),
+    /// The head of a port's kernel buffer as message source (a one-way
+    /// message queued by `ipc_submit`, whose sender already completed).
+    Buffered(ObjId),
 }
 
 /// Result of running the pump.
@@ -351,6 +357,9 @@ impl Kernel {
                 ClientEnd::Thread(_) => 0,
             },
             XferEnd::KernelSink(_) => u32::MAX,
+            XferEnd::Buffered(port) => self
+                .buffered_head(port)
+                .map_or(0, |m| (m.bytes.len() - m.pos) as u32),
         }
     }
 
@@ -365,7 +374,10 @@ impl Kernel {
         }
     }
 
-    /// Advance an end by `n` bytes after a successful copy.
+    /// Advance an end by `n` bytes after a successful copy. A user end's
+    /// in-place parameter advance *is* its commit: its registers now
+    /// describe "transferred this much, about to transfer more" (paper
+    /// §4.2).
     fn end_advance(&mut self, end: XferEnd, sending: bool, n: u32) {
         match end {
             XferEnd::User(t) => {
@@ -375,6 +387,7 @@ impl Kernel {
                 r.set(preg, p.wrapping_add(n));
                 let c = r.get(ARG_COUNT);
                 r.set(ARG_COUNT, c - n);
+                self.audit_commit(t);
             }
             XferEnd::KernelSrc(c) => {
                 if let Some(conn) = self.conns.get_mut(c.0) {
@@ -384,6 +397,15 @@ impl Kernel {
                 }
             }
             XferEnd::KernelSink(_) => {}
+            XferEnd::Buffered(port) => {
+                if let Some(ObjData::Port { buffered, .. }) =
+                    self.objects.get_mut(port).map(|o| &mut o.data)
+                {
+                    if let Some(m) = buffered.front_mut() {
+                        m.pos += n as usize;
+                    }
+                }
+            }
         }
     }
 
@@ -431,6 +453,17 @@ impl Kernel {
                     ClientEnd::Thread(_) => unreachable!("kernel src on user client"),
                 }
             }
+            (XferEnd::Buffered(port), XferEnd::User(_)) => {
+                let (rf, ro) = r_loc.expect("receiver resolved");
+                match self.objects.get(port).map(|o| &o.data) {
+                    Some(ObjData::Port { buffered, .. }) => {
+                        let m = buffered.front().expect("buffered head");
+                        self.phys
+                            .write_slice(rf, ro, &m.bytes[m.pos..m.pos + n as usize]);
+                    }
+                    _ => unreachable!("buffered source on a dead port"),
+                }
+            }
             (XferEnd::User(_), XferEnd::KernelSink(c)) => {
                 let (sf, so) = s_loc.expect("sender resolved");
                 if let Some(conn) = self.conns.get_mut(c.0) {
@@ -447,11 +480,21 @@ impl Kernel {
     }
 
     /// The transfer pump: move bytes from `sender` to `receiver` until the
-    /// message completes, the window fills, or something interrupts.
+    /// message completes, the window fills, or something interrupts. This
+    /// is the one loop that moves IPC bytes into a user window.
     ///
     /// `restarts` are the `eax` values that bring each end to its clean
     /// restart entrypoint; the pump installs them *before* any block or
     /// preemption, maintaining the atomic-API invariant.
+    ///
+    /// The current thread *drives* the transfer when it is one of the
+    /// ends. The one caller where it is not is the flush of a port's
+    /// kernel buffer ([`Kernel::flush_buffered`]), which delivers
+    /// `Buffered` messages into blocked receivers from the submitting
+    /// thread's context. Not driving, the pump takes no preemption point
+    /// (there is no end to restart), retries a cross-space soft fault in
+    /// place (there is no call to restart), and records the message's
+    /// flow edge from the current thread to the receiver.
     #[allow(clippy::too_many_arguments)]
     fn pump(
         &mut self,
@@ -463,6 +506,8 @@ impl Kernel {
         sender_restart: Sys,
         receiver_restart: Sys,
     ) -> PumpOut {
+        let drives = sender == XferEnd::User(current) || receiver == XferEnd::User(current);
+        let every = self.preempt_every().filter(|_| drives);
         let mut since_check: u32 = 0;
         loop {
             let s_rem = self.end_avail(sender);
@@ -474,9 +519,11 @@ impl Kernel {
                 }
                 self.stats.ipc_messages += 1;
                 // A message between two user threads is a causal edge
-                // between their requests.
+                // between their requests; a flushed one, an edge from the
+                // flushing thread.
                 let flow = match (sender, receiver) {
                     (XferEnd::User(st), XferEnd::User(rt)) => Some((st, rt)),
+                    (_, XferEnd::User(rt)) if !drives => Some((current, rt)),
                     _ => None,
                 };
                 self.probe(Probe::IpcMessage {
@@ -498,37 +545,19 @@ impl Kernel {
             if matches!(receiver, XferEnd::User(_)) {
                 chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
             }
-            if let Some(every) = self.preempt_every() {
+            if let Some(every) = every {
                 chunk = chunk.min(every - since_check % every);
             }
             // Translate both pages, attributing faults to transfer sides.
-            let s_loc = match sender {
-                XferEnd::User(st) => {
-                    let side = self.side_of(conn, st);
-                    let space = match self.threads.get(st.0).and_then(|x| x.space) {
-                        Some(s) => s,
-                        None => return self.pump_fatal(st, current),
-                    };
-                    match self.pump_translate(current, space, s_ptr, false, side) {
-                        Ok(loc) => Some(loc),
-                        Err(f) => return self.pump_fault(f, st, current, sender_restart),
-                    }
-                }
-                _ => None,
+            let s_loc = match self.end_translate(conn, sender, s_ptr, false, current) {
+                Ok(loc) => loc,
+                Err((PumpFault::SoftCross, _)) if !drives => continue,
+                Err((f, st)) => return self.pump_fault(f, st, current, sender_restart),
             };
-            let r_loc = match receiver {
-                XferEnd::User(rt) => {
-                    let side = self.side_of(conn, rt);
-                    let space = match self.threads.get(rt.0).and_then(|x| x.space) {
-                        Some(s) => s,
-                        None => return self.pump_fatal(rt, current),
-                    };
-                    match self.pump_translate(current, space, r_ptr, true, side) {
-                        Ok(loc) => Some(loc),
-                        Err(f) => return self.pump_fault(f, rt, current, receiver_restart),
-                    }
-                }
-                _ => None,
+            let r_loc = match self.end_translate(conn, receiver, r_ptr, true, current) {
+                Ok(loc) => loc,
+                Err((PumpFault::SoftCross, _)) if !drives => continue,
+                Err((f, rt)) => return self.pump_fault(f, rt, current, receiver_restart),
             };
             self.move_bytes(sender, s_loc, receiver, r_loc, chunk);
             // New bytes moved: the preamble (rollback) phase is over.
@@ -536,20 +565,13 @@ impl Kernel {
             self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
             self.end_advance(sender, true, chunk);
             self.end_advance(receiver, false, chunk);
-            // The in-place parameter advance *is* the commit: both ends'
-            // registers now describe "transferred this much, about to
-            // transfer more" (paper §4.2).
-            self.audit_commit(current);
             self.stats.ipc_bytes += chunk as u64;
             self.probe(Probe::IpcTransfer {
                 thread: current,
                 bytes: chunk,
             });
             since_check += chunk;
-            if self
-                .preempt_every()
-                .is_some_and(|every| since_check >= every)
-            {
+            if every.is_some_and(|every| since_check >= every) {
                 since_check = 0;
                 self.charge(self.cost.preempt_check);
                 if self.cur_cpu_mut().resched {
@@ -565,6 +587,31 @@ impl Kernel {
                 }
             }
         }
+    }
+
+    /// Translate the page under a user end's pointer (`None` for a kernel
+    /// end), attributing a fault to the end's thread and Table 3 side. A
+    /// thread without a space is a fatal fault.
+    fn end_translate(
+        &mut self,
+        conn: Option<ConnId>,
+        end: XferEnd,
+        ptr: u32,
+        write: bool,
+        current: ThreadId,
+    ) -> Result<Option<(FrameId, u32)>, (PumpFault, ThreadId)> {
+        let XferEnd::User(t) = end else {
+            return Ok(None);
+        };
+        let side = self.side_of(conn, t);
+        let space = self
+            .threads
+            .get(t.0)
+            .and_then(|x| x.space)
+            .ok_or((PumpFault::Fatal, t))?;
+        self.pump_translate(current, space, ptr, write, side)
+            .map(Some)
+            .map_err(|f| (f, t))
     }
 
     /// Which Table 3 side a thread is on for this connection.
@@ -785,7 +832,7 @@ impl Kernel {
                 match receiver {
                     XferEnd::User(rt) => self.complete_blocked(rt, ErrorCode::Success),
                     XferEnd::KernelSink(c) => self.complete_fault(c),
-                    XferEnd::KernelSrc(_) => unreachable!(),
+                    XferEnd::KernelSrc(_) | XferEnd::Buffered(_) => unreachable!(),
                 }
                 self.after_send_transition(t, conn)
             }
@@ -959,7 +1006,7 @@ impl Kernel {
                 match sender {
                     XferEnd::User(st) => self.blocked_sender_transition(st, conn),
                     XferEnd::KernelSrc(_) => {}
-                    XferEnd::KernelSink(_) => unreachable!(),
+                    XferEnd::KernelSink(_) | XferEnd::Buffered(_) => unreachable!(),
                 }
                 Ok(SysOutcome::Done(ErrorCode::Success))
             }
@@ -1107,45 +1154,46 @@ impl Kernel {
         self.charge(self.cost.ipc_setup / 2);
         self.progress();
         // Kernel-buffered messages (queued by the batched-submission path)
-        // were sent first: a receive delivers the head one, a send flushes
-        // them before its own. The check is free when the buffer is empty,
-        // which it always is for programs that never call `ipc_submit`
-        // (and normally whenever a receiver waits: every buffering site
-        // flushes, every receiver-enqueue site drains the buffer first).
-        if self.port_has_buffered(port) {
-            if !send {
-                return self.receive_buffered(cx, port);
-            }
+        // were sent first: a receive takes the head one as its peer, a
+        // send flushes them before its own. The check is free when the
+        // buffer is empty, which it always is for programs that never call
+        // `ipc_submit` (and whenever a receiver waits: every buffering
+        // site flushes and every receiver-enqueue site drains the buffer
+        // first, and `check_invariants` checks that a port never holds
+        // both).
+        let buffered = self.port_has_buffered(port);
+        if buffered && send {
             self.flush_buffered(t, port);
         }
-        let peer = match wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
-            Some(q) => q.pop(&mut self.stats.waitq),
-            None => return Err(Self::fail(ErrorCode::InvalidHandle)),
+        let peer = if buffered && !send {
+            XferEnd::Buffered(port)
+        } else {
+            let popped = match wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
+                Some(q) => q.pop(&mut self.stats.waitq),
+                None => return Err(Self::fail(ErrorCode::InvalidHandle)),
+            };
+            let Some(peer) = popped else {
+                if !wait {
+                    return Ok(SysOutcome::Done(ErrorCode::WouldBlock));
+                }
+                return self.oneway_wait(cx, port, send);
+            };
+            XferEnd::User(peer)
         };
-        let Some(peer) = peer else {
-            if !wait {
-                return Ok(SysOutcome::Done(ErrorCode::WouldBlock));
-            }
-            return self.oneway_wait(cx, port, send);
+        let me = XferEnd::User(t);
+        let out = if send {
+            self.oneway_pump(me, peer, t)
+        } else {
+            self.oneway_pump(peer, me, t)
         };
-        let (sender, receiver) = if send { (t, peer) } else { (peer, t) };
-        let out = self.pump(
-            None,
-            None,
-            XferEnd::User(sender),
-            XferEnd::User(receiver),
-            t,
-            Sys::IpcSendOnewayMore,
-            Sys::IpcWaitReceiveOneway,
-        );
         match out {
             PumpOut::Complete => {
-                self.complete_blocked(peer, ErrorCode::Success);
+                self.complete_oneway_end(peer, ErrorCode::Success);
                 Ok(SysOutcome::Done(ErrorCode::Success))
             }
             PumpOut::WindowFull => {
                 // One-way: excess bytes are dropped; both sides learn it.
-                self.complete_blocked(peer, ErrorCode::Truncated);
+                self.complete_oneway_end(peer, ErrorCode::Truncated);
                 Ok(SysOutcome::Done(ErrorCode::Truncated))
             }
             PumpOut::BlockedCurrent
@@ -1153,10 +1201,14 @@ impl Kernel {
             | PumpOut::Preempted
             | PumpOut::FatalCurrent => {
                 // The transfer restarts later (the current thread's fault
-                // is serviced, or it runs again) or never (it died): the
-                // peer goes back to the head of its queue.
-                if let Some(q) = wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut) {
-                    q.requeue_front(peer, &mut self.stats.waitq);
+                // is serviced, or it runs again) or never (it died): a
+                // user peer goes back to the head of its queue; a buffered
+                // one never left the head of the buffer.
+                if let XferEnd::User(peer) = peer {
+                    if let Some(q) = wait_queue_of!(self, oneway_reason(port, !send), get_mut, mut)
+                    {
+                        q.requeue_front(peer, &mut self.stats.waitq);
+                    }
                 }
                 Ok(match out {
                     PumpOut::BlockedCurrent => SysOutcome::Block,
@@ -1170,6 +1222,31 @@ impl Kernel {
             }
             PumpOut::PeerFaulted => self.oneway_wait(cx, port, send),
             PumpOut::FatalPeer => Err(Self::fail(ErrorCode::PeerDisconnected)),
+        }
+    }
+
+    /// Pump a one-way message: no connection, and the one-way restart
+    /// points for whichever end faults or is preempted.
+    fn oneway_pump(&mut self, sender: XferEnd, receiver: XferEnd, current: ThreadId) -> PumpOut {
+        self.pump(
+            None,
+            None,
+            sender,
+            receiver,
+            current,
+            Sys::IpcSendOnewayMore,
+            Sys::IpcWaitReceiveOneway,
+        )
+    }
+
+    /// Finish a one-way end whose message is done (or truncated): a
+    /// blocked thread completes with `code`; a buffered source drops its
+    /// head message.
+    fn complete_oneway_end(&mut self, end: XferEnd, code: ErrorCode) {
+        match end {
+            XferEnd::User(t) => self.complete_blocked(t, code),
+            XferEnd::Buffered(port) => self.pop_buffered(port),
+            XferEnd::KernelSrc(_) | XferEnd::KernelSink(_) => unreachable!("one-way kernel end"),
         }
     }
 
@@ -1189,119 +1266,46 @@ impl Kernel {
     // Kernel-buffered one-way messages (batched submission).
     // ------------------------------------------------------------------
 
-    /// Does the port hold kernel-buffered messages from `ipc_submit`?
-    pub(crate) fn port_has_buffered(&self, port: ObjId) -> bool {
-        matches!(
-            self.objects.get(port).map(|o| &o.data),
-            Some(ObjData::Port { buffered, .. }) if !buffered.is_empty()
-        )
+    /// The head of the port's kernel buffer (messages from `ipc_submit`).
+    fn buffered_head(&self, port: ObjId) -> Option<&BufferedMsg> {
+        match self.objects.get(port).map(|o| &o.data) {
+            Some(ObjData::Port { buffered, .. }) => buffered.front(),
+            _ => None,
+        }
     }
 
-    /// Deliver the head buffered message into the current thread's receive
-    /// window. A single-ended version of the pump: the sender already
-    /// completed at submit time, so only the receiver can fault, restart,
-    /// or get preempted. Partial progress lives in the message's `pos`,
-    /// which survives a receiver fault so the restart resumes mid-message.
-    pub(crate) fn receive_buffered(&mut self, cx: &mut SysCtx, port: ObjId) -> SysResult {
-        let t = cx.t;
-        let (bytes, mut pos) = {
-            let Some(ObjData::Port { buffered, .. }) =
-                self.objects.get_mut(port).map(|o| &mut o.data)
-            else {
-                return Err(Self::fail(ErrorCode::InvalidHandle));
+    /// Does the port hold kernel-buffered messages from `ipc_submit`?
+    pub(crate) fn port_has_buffered(&self, port: ObjId) -> bool {
+        self.buffered_head(port).is_some()
+    }
+
+    /// Flush the port's kernel buffer into its blocked one-way receivers,
+    /// in the current thread's context: pop a receiver, pump the head
+    /// message into it, complete both. The current thread is neither end,
+    /// so the pump does not drive a call (see [`Kernel::pump`]). A
+    /// receiver that hard-faults goes to its pager and one that dies is
+    /// gone; either way the head message keeps its advanced position and
+    /// continues into the next receiver — the split delivery a faulted
+    /// rendezvous has. Bounded by the buffer cap.
+    pub(crate) fn flush_buffered(&mut self, current: ThreadId, port: ObjId) {
+        while self.port_has_buffered(port) {
+            let popped = match wait_queue_of!(self, WaitReason::OnewayReceive(port), get_mut, mut) {
+                Some(q) => q.pop(&mut self.stats.waitq),
+                None => None,
             };
-            let msg = buffered.front().expect("caller checked non-empty");
-            (msg.bytes.clone(), msg.pos)
-        };
-        // Writes the in-flight position back to the queued message before
-        // any exit that leaves it at the head.
-        macro_rules! park_msg {
-            () => {
-                if let Some(ObjData::Port { buffered, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                {
-                    if let Some(m) = buffered.front_mut() {
-                        m.pos = pos;
-                    }
-                }
+            let Some(rt) = popped else {
+                return;
             };
+            let (source, receiver) = (XferEnd::Buffered(port), XferEnd::User(rt));
+            let code = match self.oneway_pump(source, receiver, current) {
+                PumpOut::Complete => ErrorCode::Success,
+                PumpOut::WindowFull => ErrorCode::Truncated,
+                PumpOut::PeerFaulted | PumpOut::FatalPeer => continue,
+                out => unreachable!("the flushing thread is not an end: {out:?}"),
+            };
+            self.complete_oneway_end(source, code);
+            self.complete_oneway_end(receiver, code);
         }
-        let mut since_check: u32 = 0;
-        while pos < bytes.len() {
-            let r = &self.threads.get(t.0).expect("receiver").regs;
-            let window = r.get(ARG_COUNT);
-            let r_ptr = r.get(ARG_RBUF);
-            if window == 0 {
-                // One-way: excess bytes are dropped; the receiver learns it.
-                self.pop_buffered(port);
-                return Ok(SysOutcome::Done(ErrorCode::Truncated));
-            }
-            let mut chunk = (bytes.len() - pos) as u32;
-            chunk = chunk.min(window);
-            chunk = chunk.min(PAGE_SIZE - r_ptr % PAGE_SIZE);
-            if let Some(every) = self.preempt_every() {
-                chunk = chunk.min(every - since_check % every);
-            }
-            let space = match self.threads.get(t.0).and_then(|x| x.space) {
-                Some(s) => s,
-                None => {
-                    self.pop_buffered(port);
-                    return match self.pump_fatal(t, t) {
-                        PumpOut::FatalCurrent => Ok(SysOutcome::Kill("fatal IPC fault")),
-                        _ => unreachable!("victim is current"),
-                    };
-                }
-            };
-            let (rf, ro) = match self.pump_translate(t, space, r_ptr, true, FaultSide::Client) {
-                Ok(loc) => loc,
-                Err(f) => {
-                    park_msg!();
-                    return match self.pump_fault(f, t, t, Sys::IpcWaitReceiveOneway) {
-                        PumpOut::BlockedCurrent => Ok(SysOutcome::Block),
-                        PumpOut::RestartCurrent => {
-                            cx.set_reg(self, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-                            Ok(SysOutcome::Chain)
-                        }
-                        PumpOut::FatalCurrent => Ok(SysOutcome::Kill("fatal IPC fault")),
-                        _ => unreachable!("faulter is current"),
-                    };
-                }
-            };
-            self.phys
-                .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
-            self.progress();
-            self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
-            self.end_advance(XferEnd::User(t), false, chunk);
-            pos += chunk as usize;
-            self.audit_commit(t);
-            self.stats.ipc_bytes += chunk as u64;
-            self.probe(Probe::IpcTransfer {
-                thread: t,
-                bytes: chunk,
-            });
-            since_check += chunk;
-            if self
-                .preempt_every()
-                .is_some_and(|every| since_check >= every)
-            {
-                since_check = 0;
-                self.charge(self.cost.preempt_check);
-                if self.cur_cpu_mut().resched {
-                    self.stats.preempt_points_taken += 1;
-                    park_msg!();
-                    self.set_reg_committed(t, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-                    self.preempt_current_in_kernel(t);
-                    return Ok(SysOutcome::Preempted);
-                }
-            }
-        }
-        self.pop_buffered(port);
-        self.stats.ipc_messages += 1;
-        self.probe(Probe::IpcMessage {
-            thread: t,
-            flow: None,
-        });
-        Ok(SysOutcome::Done(ErrorCode::Success))
     }
 
     /// Drop the delivered (or truncated) head message.

@@ -362,26 +362,33 @@ impl Kernel {
         }
     }
 
-    /// Read a u32 from the current thread's memory (may fault).
-    pub(crate) fn read_user_u32(&mut self, t: ThreadId, addr: u32) -> Result<u32, SysOutcome> {
-        let mut b = [0u8; 4];
-        for (i, byte) in b.iter_mut().enumerate() {
-            let (f, off) = self.user_translate(t, addr.wrapping_add(i as u32), false)?;
-            *byte = self.phys.read_u8(f, off);
-        }
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Write a u32 to the current thread's memory (may fault).
-    pub(crate) fn write_user_u32(
+    /// Copy `buf.len()` bytes from the current thread's memory at `addr`
+    /// (may fault). One translation per byte, in address order, so a
+    /// fault part-way leaves a prefix copied and the caller replays.
+    pub(crate) fn copy_from_user(
         &mut self,
         t: ThreadId,
         addr: u32,
-        val: u32,
+        buf: &mut [u8],
     ) -> Result<(), SysOutcome> {
-        for (i, byte) in val.to_le_bytes().iter().enumerate() {
+        for (i, byte) in buf.iter_mut().enumerate() {
+            let (f, off) = self.user_translate(t, addr.wrapping_add(i as u32), false)?;
+            *byte = self.phys.read_u8(f, off);
+        }
+        Ok(())
+    }
+
+    /// Copy `bytes` into the current thread's memory at `addr` (may
+    /// fault), one translation per byte like [`Kernel::copy_from_user`].
+    pub(crate) fn copy_to_user(
+        &mut self,
+        t: ThreadId,
+        addr: u32,
+        bytes: &[u8],
+    ) -> Result<(), SysOutcome> {
+        for (i, &byte) in bytes.iter().enumerate() {
             let (f, off) = self.user_translate(t, addr.wrapping_add(i as u32), true)?;
-            self.phys.write_u8(f, off, *byte);
+            self.phys.write_u8(f, off, byte);
         }
         Ok(())
     }
@@ -684,8 +691,8 @@ impl fluke_arch::UserMem for SpaceMemAdapter<'_> {
 /// Compile-time check that `SysResult` composes with `?` as intended.
 #[allow(dead_code)]
 fn _sysresult_composes(k: &mut Kernel, t: ThreadId) -> SysResult {
-    let h = k.read_user_u32(t, 0)?;
-    let _ = k.lookup_handle(t, h)?;
+    k.copy_from_user(t, 0, &mut [0; 4])?;
+    let _ = k.lookup_handle(t, 0)?;
     Err(Kernel::fail(ErrorCode::InvalidArg))
 }
 

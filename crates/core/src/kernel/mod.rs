@@ -89,7 +89,7 @@ use crate::kfault::Kfault;
 use crate::kprof::{Kprof, Phase};
 use crate::kspan::Kspan;
 use crate::kstat::Stats;
-use crate::object::ObjectTable;
+use crate::object::{ObjData, ObjectTable};
 use crate::phys::PhysMem;
 use crate::probe::Probe;
 use crate::sched::{ClockIndex, PerCpuQueues};
@@ -355,7 +355,11 @@ impl Kernel {
     ///   once by construction);
     /// - the CPUs' `current` slots agree with thread states: CPU `i`'s
     ///   current thread is live and `Running(i)`, and every `Running(i)`
-    ///   thread is CPU `i`'s current thread.
+    ///   thread is CPU `i`'s current thread;
+    /// - a port's kernel buffer (`ipc_submit`) and its blocked one-way
+    ///   receivers are never both non-empty (every buffering site flushes,
+    ///   every receive drains the buffer before it waits), and only the
+    ///   head buffered message is part-delivered (`pos > 0`).
     pub(crate) fn check_invariants(&self) -> Result<(), &'static str> {
         let mut queued = std::collections::HashSet::new();
         for t in self.runqs.threads() {
@@ -394,6 +398,21 @@ impl Kernel {
             if let RunState::Running(i) = th.state {
                 if self.cpus.get(i).and_then(|slot| slot.current) != Some(ThreadId(t)) {
                     return Err("a running thread is not its CPU's current thread");
+                }
+            }
+        }
+        for (_, o) in self.objects.iter() {
+            if let ObjData::Port {
+                buffered,
+                oneway_receivers,
+                ..
+            } = &o.data
+            {
+                if !buffered.is_empty() && !oneway_receivers.is_empty() {
+                    return Err("a port holds buffered messages and blocked one-way receivers");
+                }
+                if buffered.iter().skip(1).any(|m| m.pos > 0) {
+                    return Err("a buffered message behind the head is part-delivered");
                 }
             }
         }

@@ -14,9 +14,13 @@
 //! Submitted sends always *buffer*: the message bytes are copied into a
 //! bounded kernel queue on the port ([`PORT_BUF_MSGS`] messages of up to
 //! [`SUBMIT_MAX_MSG`] bytes) and the send completes without rendezvous.
-//! After each buffered send the submitter flushes the queue into any
-//! blocked plain receivers, in its own context — the batched analogue of
-//! the pump running in the sender. A descriptor that cannot make
+//! The head of that queue is an ordinary transfer end of the IPC pump
+//! (`XferEnd::Buffered`), with its cursor in the message's `pos`: a plain
+//! one-way receive takes it as its peer, and after each buffered send the
+//! submitter flushes the queue into any blocked plain receivers by
+//! pumping it into each in turn. The submitter is not an end of those
+//! transfers, so the pump does not *drive* them: no preemption point, a
+//! cross-space soft fault retried in place. A descriptor that cannot make
 //! progress without sleeping (receive on an empty port, send to a full
 //! buffer) is *spilled*: the registers are rewritten to the equivalent
 //! plain entrypoint and the dispatch chains to it, exactly the
@@ -39,11 +43,9 @@ use fluke_arch::Reg;
 
 use crate::ids::{ObjId, ThreadId};
 use crate::kprof::Phase;
-use crate::kstat::FaultSide;
 use crate::object::{BufferedMsg, ObjData};
 use crate::probe::Probe;
 
-use super::mem::PumpFault;
 use super::{Kernel, SysCtx, SysOutcome, SysResult};
 
 impl Kernel {
@@ -60,10 +62,10 @@ impl Kernel {
             let base = ring.wrapping_add(done.wrapping_mul(SUBMIT_DESC_WORDS * 4));
             // Descriptor reads can fault; nothing is committed yet, so the
             // restart replays this descriptor from the top.
-            let opflags = self.read_user_u32(t, base)?;
-            let port_h = self.read_user_u32(t, base + 4)?;
-            let buf = self.read_user_u32(t, base + 8)?;
-            let len = self.read_user_u32(t, base + 12)?;
+            let mut d = [0u8; 4 * SUBMIT_DESC_WORDS as usize];
+            self.copy_from_user(t, base, &mut d)?;
+            let word = |i: usize| u32::from_le_bytes([d[i], d[i + 1], d[i + 2], d[i + 3]]);
+            let (opflags, port_h, buf, len) = (word(0), word(4), word(8), word(12));
             self.charge(self.cost.ipc_setup / 2);
             self.progress();
             self.stats.ipc_submit_ops += 1;
@@ -118,7 +120,7 @@ impl Kernel {
         code: ErrorCode,
     ) -> Result<(), SysOutcome> {
         let word = (opflags & 0xffff) | ((code as u32) << SUBMIT_RESULT_SHIFT) | SUBMIT_DONE;
-        self.write_user_u32(t, base, word)
+        self.copy_to_user(t, base, &word.to_le_bytes())
     }
 
     /// One submitted send: copy the message into the port's kernel buffer
@@ -163,10 +165,7 @@ impl Kernel {
         // Copy user→kernel in the submitter's context (faults replay the
         // descriptor; nothing below has happened yet).
         let mut bytes = vec![0u8; len as usize];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            let (f, off) = self.user_translate(t, buf.wrapping_add(i as u32), false)?;
-            *b = self.phys.read_u8(f, off);
-        }
+        self.copy_from_user(t, buf, &mut bytes)?;
         self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * len as u64);
         // Commit order: result word (replay-idempotent), then the
         // irreversible kernel-state change, then the caller's cursor.
@@ -213,17 +212,14 @@ impl Kernel {
             };
             let avail = (bytes.len() - pos) as u32;
             let deliver = avail.min(len);
-            for i in 0..deliver {
-                let (f, off) = self.user_translate(t, buf.wrapping_add(i), true)?;
-                self.phys.write_u8(f, off, bytes[pos + i as usize]);
-            }
+            self.copy_to_user(t, buf, &bytes[pos..pos + deliver as usize])?;
             self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * deliver as u64);
             let code = if deliver < avail {
                 ErrorCode::Truncated // excess dropped, as in plain one-way
             } else {
                 ErrorCode::Success
             };
-            self.write_user_u32(t, base + 12, deliver)?;
+            self.copy_to_user(t, base + 12, &deliver.to_le_bytes())?;
             self.submit_write_result(t, base, opflags, code)?;
             self.pop_buffered(port);
             self.stats.ipc_bytes += deliver as u64;
@@ -261,138 +257,5 @@ impl Kernel {
             Some(ObjData::Port { buffered, .. }) => buffered.len(),
             _ => 0,
         }
-    }
-
-    /// Flush the port's kernel buffer into blocked plain receivers, in
-    /// the current thread's context (the batched analogue of the pump
-    /// running in the sender). Bounded by the buffer cap. A receiver
-    /// that hard-faults goes to its pager with the message's `pos`
-    /// preserved; the head message then continues into the next receiver
-    /// — the same split-delivery semantics a faulted rendezvous has.
-    pub(crate) fn flush_buffered(&mut self, current: ThreadId, port: ObjId) {
-        loop {
-            let (bytes, mut pos) = {
-                let Some(ObjData::Port { buffered, .. }) =
-                    self.objects.get_mut(port).map(|o| &mut o.data)
-                else {
-                    return;
-                };
-                match buffered.front() {
-                    Some(m) => (m.bytes.clone(), m.pos),
-                    None => return,
-                }
-            };
-            let rt = {
-                let Some(ObjData::Port {
-                    oneway_receivers, ..
-                }) = self.objects.get_mut(port).map(|o| &mut o.data)
-                else {
-                    return;
-                };
-                match oneway_receivers.pop(&mut self.stats.waitq) {
-                    Some(rt) => rt,
-                    None => return,
-                }
-            };
-            let mut receiver_parked = false;
-            while pos < bytes.len() {
-                let r = &self.threads.get(rt.0).expect("receiver").regs;
-                let window = r.get(ARG_COUNT);
-                let r_ptr = r.get(ARG_RBUF);
-                if window == 0 {
-                    // Excess dropped; the receiver learns it (plain
-                    // one-way truncation semantics).
-                    self.pop_buffered(port);
-                    self.complete_blocked(rt, ErrorCode::Truncated);
-                    receiver_parked = true;
-                    break;
-                }
-                let chunk = ((bytes.len() - pos) as u32)
-                    .min(window)
-                    .min(fluke_api::abi::PAGE_SIZE - r_ptr % fluke_api::abi::PAGE_SIZE);
-                let space = match self.threads.get(rt.0).and_then(|x| x.space) {
-                    Some(s) => s,
-                    None => {
-                        // Receiver died: the message (and any undelivered
-                        // tail) goes to the next receiver instead.
-                        self.stats.fatal_faults += 1;
-                        self.kill_thread(rt, "fatal fault during IPC");
-                        receiver_parked = true;
-                        break;
-                    }
-                };
-                match self.pump_translate(current, space, r_ptr, true, FaultSide::Client) {
-                    Ok((rf, ro)) => {
-                        self.phys
-                            .write_slice(rf, ro, &bytes[pos..pos + chunk as usize]);
-                        self.progress();
-                        self.charge_in(Phase::IpcCopy, self.cost.copy_byte_per * chunk as u64);
-                        self.end_advance_user_recv(rt, chunk);
-                        pos += chunk as usize;
-                        self.park_buffered_pos(port, pos);
-                        self.stats.ipc_bytes += chunk as u64;
-                        self.probe(Probe::IpcTransfer {
-                            thread: current,
-                            bytes: chunk,
-                        });
-                    }
-                    Err(PumpFault::SoftCross) => {
-                        // Resolved inline; retry the chunk (the page is
-                        // mapped now, so this terminates).
-                        continue;
-                    }
-                    Err(PumpFault::Hard {
-                        region,
-                        offset,
-                        keeper,
-                        write,
-                        side,
-                    }) => {
-                        self.set_reg_committed(rt, Reg::Eax, Sys::IpcWaitReceiveOneway.num());
-                        self.raise_hard_fault(rt, region, offset, write, keeper, side, true, true);
-                        receiver_parked = true;
-                        break;
-                    }
-                    Err(PumpFault::Fatal) => {
-                        self.stats.fatal_faults += 1;
-                        self.kill_thread(rt, "fatal fault during IPC");
-                        receiver_parked = true;
-                        break;
-                    }
-                }
-            }
-            if receiver_parked {
-                continue;
-            }
-            // Message fully delivered.
-            self.pop_buffered(port);
-            self.stats.ipc_messages += 1;
-            self.probe(Probe::IpcMessage {
-                thread: current,
-                flow: Some((current, rt)),
-            });
-            self.complete_blocked(rt, ErrorCode::Success);
-        }
-    }
-
-    /// Record partial delivery progress on the head buffered message.
-    fn park_buffered_pos(&mut self, port: ObjId, pos: usize) {
-        if let Some(ObjData::Port { buffered, .. }) =
-            self.objects.get_mut(port).map(|o| &mut o.data)
-        {
-            if let Some(m) = buffered.front_mut() {
-                m.pos = pos;
-            }
-        }
-    }
-
-    /// Advance a blocked receiver's window registers after a delivery
-    /// chunk (the flush-side twin of the pump's `end_advance`).
-    fn end_advance_user_recv(&mut self, rt: ThreadId, n: u32) {
-        let r = &mut self.threads.get_mut(rt.0).expect("receiver").regs;
-        let p = r.get(ARG_RBUF);
-        r.set(ARG_RBUF, p.wrapping_add(n));
-        let c = r.get(ARG_COUNT);
-        r.set(ARG_COUNT, c - n);
     }
 }
