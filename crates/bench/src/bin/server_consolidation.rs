@@ -11,9 +11,9 @@
 //!   quick smoke can gate against a same-scale reference).
 //! * `--quick` restricts the sweep to the quick scale.
 //! * `--check` gates against the committed `BENCH_server.json`: it fails
-//!   on a p99 or throughput regression of more than 10% in any row, or if
-//!   batching no longer cuts kernel entries per message by at least 4x on
-//!   the echo tier.
+//!   if any fresh row differs from the committed row of the same scale,
+//!   or if batching no longer cuts kernel entries per message by at least
+//!   4x on the echo tier.
 
 use fluke_bench::gate::{scale_runs, Gate};
 use fluke_bench::{server_consolidation, Scale};

@@ -168,6 +168,40 @@ pub fn scale_run(report: &Json, scale: Scale) -> Result<&Json, String> {
     }
 }
 
+/// One message per fresh row whose written form differs from the
+/// committed row at the same position, plus one if the row counts differ.
+/// The rows are deterministic simulated values, so any difference is a
+/// behaviour change. `name(i)` labels fresh row `i` in the messages.
+pub fn row_changes(
+    committed: &[Json],
+    fresh: &[Json],
+    scale: Scale,
+    name: impl Fn(usize) -> String,
+) -> Vec<String> {
+    let mut errs: Vec<String> = fresh
+        .iter()
+        .zip(committed)
+        .enumerate()
+        .filter(|(_, (f, c))| f.to_string() != c.to_string())
+        .map(|(i, _)| {
+            format!(
+                "{} row differs from the committed {} row",
+                name(i),
+                scale.label()
+            )
+        })
+        .collect();
+    if fresh.len() != committed.len() {
+        errs.push(format!(
+            "{} fresh rows vs {} committed {} rows",
+            fresh.len(),
+            committed.len(),
+            scale.label()
+        ));
+    }
+    errs
+}
+
 /// The path of the first field at which `fresh` differs from
 /// `committed` (`configs[2].kspan.e2e.p99`; empty when the roots
 /// themselves differ), or `None` when the reports are equal. Objects are
@@ -285,6 +319,23 @@ mod tests {
             .load_committed(&a)
             .unwrap_err();
         assert!(e.contains("needs the committed"), "{e}");
+    }
+
+    #[test]
+    fn row_changes_name_every_changed_row() {
+        let j = |t: &str| Json::parse(t).unwrap();
+        let committed = [j(r#"{"a":1}"#), j(r#"{"a":2}"#)];
+        let name = |i: usize| format!("r{i}");
+        assert!(row_changes(&committed, &committed, Scale::Quick, name).is_empty());
+        let fresh = [j(r#"{"a":1}"#), j(r#"{"a":3}"#)];
+        assert_eq!(
+            row_changes(&committed, &fresh, Scale::Quick, name),
+            vec!["r1 row differs from the committed quick row".to_string()]
+        );
+        assert_eq!(
+            row_changes(&committed, &committed[..1], Scale::Paper, name),
+            vec!["1 fresh rows vs 2 committed paper rows".to_string()]
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 use fluke_workloads::flukeperf;
 
-use crate::gate::scale_run;
+use crate::gate::{row_changes, scale_run};
 use crate::tracediff::run_keep_kernel;
 use crate::{Scale, TextTable};
 
@@ -305,7 +305,12 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
             .ok_or_else(|| "baseline JSON has no rows".to_string())
     });
     if let Ok(rows) = base_rows {
-        errs.extend(row_changes(rows, scale, fresh));
+        let doc = to_json(scale, fresh);
+        let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
+        errs.extend(row_changes(rows, fresh_rows, scale, |i| {
+            let r = &fresh[i];
+            format!("{} {} {} {}-CPU", r.workload, r.model, r.lock, r.cpus)
+        }));
     }
     let base_tp = base_rows.and_then(|rows| {
         rows.iter()
@@ -333,37 +338,6 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
              fine {:.2}% vs big {:.2}%",
             100.0 * fine.lock_wait_share(),
             100.0 * big.lock_wait_share()
-        ));
-    }
-    errs
-}
-
-/// One message per fresh row whose JSON differs from the committed row at
-/// the same position, plus one if the row counts differ.
-fn row_changes(committed: &[Json], scale: Scale, fresh: &[MpRow]) -> Vec<String> {
-    let doc = to_json(scale, fresh);
-    let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
-    let mut errs: Vec<String> = fresh
-        .iter()
-        .zip(fresh_rows.iter().zip(committed))
-        .filter(|(_, (f, c))| f.to_string() != c.to_string())
-        .map(|(r, _)| {
-            format!(
-                "{} {} {} {}-CPU row differs from the committed {} row",
-                r.workload,
-                r.model,
-                r.lock,
-                r.cpus,
-                scale.label()
-            )
-        })
-        .collect();
-    if fresh.len() != committed.len() {
-        errs.push(format!(
-            "{} fresh rows vs {} committed {} rows",
-            fresh.len(),
-            committed.len(),
-            scale.label()
         ));
     }
     errs

@@ -43,7 +43,7 @@ use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
-use crate::gate::scale_run;
+use crate::gate::{row_changes, scale_run};
 use crate::{Scale, TextTable};
 
 /// Request/response payload bytes.
@@ -600,11 +600,12 @@ pub fn to_json(scale: Scale, rows: &[ServerRow]) -> Json {
     doc
 }
 
-/// The CI regression gate. Every fresh row is matched to the committed
-/// same-scale baseline row by (tier, conns, workers); a p99 more than 10%
-/// above the baseline or a throughput more than 10% below it fails. The
-/// echo-tier entry reduction must also hold at ≥4x in the fresh run,
-/// independent of the baseline.
+/// The CI regression gate. Every fresh row must equal the committed
+/// row of the same scale at the same position (the rows are
+/// deterministic simulated values, so any difference — p99, throughput
+/// or any other field — is a behaviour change). The echo-tier entry
+/// reduction must also hold at ≥4x in the fresh run, independent of the
+/// baseline.
 pub fn check(baseline: &Json, scale: Scale, fresh: &[ServerRow]) -> Vec<String> {
     let mut errs = Vec::new();
     let rows = scale_run(baseline, scale).and_then(|run| {
@@ -615,32 +616,12 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[ServerRow]) -> Vec<String> 
     match rows {
         Err(e) => errs.push(e),
         Ok(rows) => {
-            for f in fresh {
-                let name = format!("{}/{}c/{}w", f.tier, f.conns, f.workers);
-                let Some(base) = rows.iter().find(|r| {
-                    r.get("tier").and_then(Json::as_str) == Some(f.tier)
-                        && r.get("conns").and_then(Json::as_u64) == Some(f.conns as u64)
-                        && r.get("workers").and_then(Json::as_u64) == Some(f.workers as u64)
-                }) else {
-                    errs.push(format!("baseline missing row {name}"));
-                    continue;
-                };
-                let base_p99 = base.get("p99").and_then(Json::as_u64).unwrap_or(0);
-                if base_p99 > 0 && f.p99 as f64 > 1.1 * base_p99 as f64 {
-                    errs.push(format!(
-                        "{name}: p99 regressed >10%: {} cycles vs baseline {base_p99}",
-                        f.p99
-                    ));
-                }
-                match base.get("msgs_per_sec").and_then(Json::as_f64) {
-                    None => errs.push(format!("baseline row {name} has no msgs_per_sec")),
-                    Some(tp) if f.msgs_per_sec() < 0.9 * tp => errs.push(format!(
-                        "{name}: throughput regressed >10%: {:.0} msgs/sec vs baseline {tp:.0}",
-                        f.msgs_per_sec()
-                    )),
-                    Some(_) => {}
-                }
-            }
+            let doc = to_json(scale, fresh);
+            let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
+            errs.extend(row_changes(rows, fresh_rows, scale, |i| {
+                let f = &fresh[i];
+                format!("{}/{}c/{}w", f.tier, f.conns, f.workers)
+            }));
         }
     }
 
@@ -744,15 +725,18 @@ mod tests {
         // The gate refuses to compare across scales.
         assert!(!check(&parsed, Scale::Paper, &rows).is_empty());
 
-        // >10% p99 growth trips the gate.
+        // Any row change trips the gate, however small: a p99 one cycle
+        // worse, a throughput one cycle better, a dropped row.
         let mut slow = rows.clone();
-        slow[2].p99 = 7000;
-        assert!(!check(&parsed, Scale::Quick, &slow).is_empty());
-
-        // >10% throughput loss trips the gate.
-        let mut starved = rows.clone();
-        starved[2].elapsed = 6_000_000;
-        assert!(!check(&parsed, Scale::Quick, &starved).is_empty());
+        slow[2].p99 += 1;
+        assert_eq!(
+            check(&parsed, Scale::Quick, &slow),
+            vec!["scale/1024c/4w row differs from the committed quick row".to_string()]
+        );
+        let mut faster = rows.clone();
+        faster[2].elapsed -= 1;
+        assert!(!check(&parsed, Scale::Quick, &faster).is_empty());
+        assert!(!check(&parsed, Scale::Quick, &rows[..2]).is_empty());
 
         // Losing the 4x echo entry reduction trips the gate.
         let mut unbatched = rows.clone();
