@@ -516,11 +516,12 @@ impl Kernel {
         }
         // The whole destination window must fit below the top of the
         // address space; wrapping would marshal into low memory.
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        if !bytes.is_empty() && buf.checked_add(bytes.len() as u32 - 1).is_none() {
+        let bytes = (words.len() as u32) * 4;
+        if bytes > 0 && buf.checked_add(bytes - 1).is_none() {
             return Err(Self::fail(ErrorCode::InvalidArg));
         }
-        self.copy_to_user(t, buf, &bytes)?;
+        let image: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.copy_to_user(t, buf, &image)?;
         cx.set_reg(self, ARG_VAL, words.len() as u32);
         Ok(SysOutcome::Done(ErrorCode::Success))
     }
