@@ -8,16 +8,15 @@
 //! Usage: `kmon [--check] [--out FILE] [--flame FILE]` (see
 //! [`fluke_bench::gate`]) — scale via `FLUKE_BENCH_SCALE`. `--check`
 //! (quick scale only) fails if any field of the fresh report differs
-//! from the committed one (naming the first differing path — the quick
-//! report is fully simulated, so any change is a behaviour change of
-//! the kernel or an observer), if a preemption-latency maximum exceeds
-//! its blessed CI bound, or if any config's kspan end-to-end p99
-//! regressed by more than 10% against the committed report. `--flame`
+//! from the committed one (printing the first 20 differing paths and
+//! their count — the quick report is fully simulated, so any change is
+//! a behaviour change of the kernel or an observer), or if a
+//! preemption-latency maximum exceeds its blessed CI bound. `--flame`
 //! writes the per-request-class collapsed flamegraph (one
 //! `class;path cycles` line per frame, all configs concatenated) for
 //! `flamegraph.pl`-style tools.
 
-use fluke_bench::gate::{first_difference, Gate, USAGE_EXIT};
+use fluke_bench::gate::{differences, Gate, USAGE_EXIT};
 use fluke_bench::{observability, Scale};
 
 const GATE: Gate = Gate {
@@ -50,13 +49,18 @@ fn main() {
         println!("wrote {f} ({} frames)", lines.len());
     }
     if let Some(c) = committed {
-        let mut errs: Vec<String> = first_difference(&c, &doc)
+        let paths = differences(&c, &doc);
+        let mut errs: Vec<String> = paths
+            .iter()
+            .take(20)
             .map(|path| {
-                let at = if path.is_empty() { "its root" } else { &path };
+                let at = if path.is_empty() { "its root" } else { path };
                 format!("fresh report differs from {} at {at}", GATE.committed)
             })
-            .into_iter()
             .collect();
+        if !paths.is_empty() {
+            errs.push(format!("{} differing paths in all", paths.len()));
+        }
         errs.extend(observability::check_regression(&runs));
         GATE.finish(&errs);
     }

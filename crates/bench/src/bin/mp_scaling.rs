@@ -11,9 +11,8 @@
 //! * `--quick` restricts the sweep to the quick scale.
 //! * `--check` gates against the committed `BENCH_mp_scaling.json`:
 //!   fails if any fresh row differs from the committed row of the same
-//!   scale, if the fresh 16-CPU fine-grained ipc-echo throughput fell more
-//!   than 10% below the same-scale baseline, or if fine-grained locking no
-//!   longer beats the big lock on lock-wait share.
+//!   scale, or if fine-grained locking no longer beats the big lock on
+//!   16-CPU lock-wait share.
 
 use fluke_bench::gate::{scale_runs, Gate};
 use fluke_bench::{mp_scaling, Scale};

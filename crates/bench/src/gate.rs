@@ -13,6 +13,8 @@
 //!   then runs, writes a report only if `--out` names one (a check never
 //!   overwrites the committed file), and exits 1 if any gate failed.
 
+use std::collections::BTreeSet;
+
 use fluke_json::Json;
 
 use crate::Scale;
@@ -202,36 +204,43 @@ pub fn row_changes(
     errs
 }
 
-/// The path of the first field at which `fresh` differs from
-/// `committed` (`configs[2].kspan.e2e.p99`; empty when the roots
-/// themselves differ), or `None` when the reports are equal. Objects are
-/// walked in key order; leaves compare by their written form, so a value
-/// equal to the committed one after a write/parse round trip is
-/// unchanged.
-pub fn first_difference(committed: &Json, fresh: &Json) -> Option<String> {
-    fn join(head: String, tail: String) -> String {
-        match tail.chars().next() {
-            None => head,
-            Some('[') => head + &tail,
-            Some(_) => format!("{head}.{tail}"),
+/// The path of every field at which `fresh` differs from `committed`
+/// (`configs[2].kspan.e2e.p99`; empty when the roots themselves
+/// differ), in walk order; empty when the reports are equal. Objects are
+/// walked in key order, and a key on one side only is one path; an
+/// array's extra tail is one path, at its first extra index. Leaves
+/// compare by their written form, so a value equal to the committed one
+/// after a write/parse round trip is unchanged.
+pub fn differences(committed: &Json, fresh: &Json) -> Vec<String> {
+    fn walk(path: String, a: &Json, b: &Json, out: &mut Vec<String>) {
+        let at = |k: &str| match path.as_str() {
+            "" => k.to_string(),
+            p => format!("{p}.{k}"),
+        };
+        match (a, b) {
+            (Json::Obj(x), Json::Obj(y)) => {
+                for k in x.keys().chain(y.keys()).collect::<BTreeSet<_>>() {
+                    match (x.get(k), y.get(k)) {
+                        (Some(v), Some(w)) => walk(at(k), v, w, out),
+                        _ => out.push(at(k)),
+                    }
+                }
+            }
+            (Json::Arr(x), Json::Arr(y)) => {
+                for (i, (v, w)) in x.iter().zip(y).enumerate() {
+                    walk(format!("{path}[{i}]"), v, w, out);
+                }
+                if x.len() != y.len() {
+                    out.push(format!("{path}[{}]", x.len().min(y.len())));
+                }
+            }
+            _ if a.to_string() != b.to_string() => out.push(path),
+            _ => {}
         }
     }
-    match (committed, fresh) {
-        (Json::Obj(a), Json::Obj(b)) => {
-            let keys: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-            keys.into_iter().find_map(|k| match (a.get(k), b.get(k)) {
-                (Some(x), Some(y)) => first_difference(x, y).map(|p| join(k.clone(), p)),
-                _ => Some(k.clone()),
-            })
-        }
-        (Json::Arr(a), Json::Arr(b)) => a
-            .iter()
-            .zip(b)
-            .enumerate()
-            .find_map(|(i, (x, y))| first_difference(x, y).map(|p| join(format!("[{i}]"), p)))
-            .or_else(|| (a.len() != b.len()).then(|| format!("[{}]", a.len().min(b.len())))),
-        _ => (committed.to_string() != fresh.to_string()).then(String::new),
-    }
+    let mut out = Vec::new();
+    walk(String::new(), committed, fresh, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -239,24 +248,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_difference_names_the_path() {
+    fn differences_name_every_path() {
         let j = |t: &str| Json::parse(t).unwrap();
         let a = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}}],"scale":"quick"}"#);
-        assert_eq!(first_difference(&a, &a.clone()), None);
+        assert!(differences(&a, &a.clone()).is_empty());
         let b = j(r#"{"configs":[{"label":"x","kspan":{"p99":11}}],"scale":"quick"}"#);
-        assert_eq!(
-            first_difference(&a, &b).as_deref(),
-            Some("configs[0].kspan.p99")
-        );
+        assert_eq!(differences(&a, &b), ["configs[0].kspan.p99"]);
         let c = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}},{}],"scale":"quick"}"#);
-        assert_eq!(first_difference(&a, &c).as_deref(), Some("configs[1]"));
+        assert_eq!(differences(&a, &c), ["configs[1]"]);
         let d = j(r#"{"configs":[{"label":"x","kspan":{"p99":10}}],"scale":"quick","new":1}"#);
-        assert_eq!(first_difference(&a, &d).as_deref(), Some("new"));
+        assert_eq!(differences(&a, &d), ["new"]);
+        assert_eq!(differences(&j("[[1]]"), &j("[[2]]")), ["[0][0]"]);
+        assert_eq!(differences(&j("1"), &j("[]")), [""]);
+        // Every differing path, in walk order, not just the first.
+        let e = j(r#"{"configs":[{"label":"y","kspan":{"p99":11}}],"scale":"paper"}"#);
         assert_eq!(
-            first_difference(&j("[[1]]"), &j("[[2]]")).as_deref(),
-            Some("[0][0]")
+            differences(&a, &e),
+            ["configs[0].kspan.p99", "configs[0].label", "scale"]
         );
-        assert_eq!(first_difference(&j("1"), &j("[]")).as_deref(), Some(""));
     }
 
     fn gate(committed: &'static str) -> Gate {

@@ -13,8 +13,8 @@
 //!
 //! The binary `mp_scaling` prints the table, writes
 //! `BENCH_mp_scaling.json`, and with `--check` gates against the
-//! committed baseline (any row change, throughput regression and
-//! lock-wait share).
+//! committed baseline (any row change) and on the 16-CPU lock-wait
+//! shares (fine-grained must beat the big lock).
 
 use fluke_api::abi::{ARG_COUNT, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ObjType, Sys};
@@ -278,20 +278,16 @@ pub fn to_json(scale: Scale, rows: &[MpRow]) -> Json {
 
 /// The CI regression gate. Fails if any fresh row differs from the
 /// committed row of the same scale (the rows are deterministic simulated
-/// values, so any difference is a behaviour change), if the fresh
-/// fine-grained 16-CPU ipc-echo throughput (process model) fell more than
-/// 10% below the committed baseline, or if fine-grained locking no longer
-/// reduces the lock-wait share below the big lock's at 16 CPUs.
+/// values, so any difference, throughput included, is a behaviour
+/// change), or if fine-grained locking no longer reduces the lock-wait
+/// share below the big lock's at 16 CPUs (ipc-echo, process model).
 pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
     let gate_model = Config::process_pp().label;
     // The gated rows: ipc-echo, process PP, 16 CPUs, lock `want`.
-    let is_gate = |workload: &str, model: &str, lock: &str, cpus: u64, want: &str| {
-        workload == "ipc-echo" && model == gate_model && lock == want && cpus == 16
-    };
     let find = |want: &str| {
-        fresh
-            .iter()
-            .find(|r| is_gate(r.workload, r.model, r.lock, r.cpus as u64, want))
+        fresh.iter().find(|r| {
+            r.workload == "ipc-echo" && r.model == gate_model && r.lock == want && r.cpus == 16
+        })
     };
     let (Some(fine), Some(big)) = (find("fine"), find("big-lock")) else {
         return vec![format!(
@@ -304,33 +300,16 @@ pub fn check(baseline: &Json, scale: Scale, fresh: &[MpRow]) -> Vec<String> {
             .and_then(Json::items)
             .ok_or_else(|| "baseline JSON has no rows".to_string())
     });
-    if let Ok(rows) = base_rows {
-        let doc = to_json(scale, fresh);
-        let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
-        errs.extend(row_changes(rows, fresh_rows, scale, |i| {
-            let r = &fresh[i];
-            format!("{} {} {} {}-CPU", r.workload, r.model, r.lock, r.cpus)
-        }));
-    }
-    let base_tp = base_rows.and_then(|rows| {
-        rows.iter()
-            .find(|r| {
-                let s = |k| r.get(k).and_then(Json::as_str).unwrap_or("");
-                let cpus = r.get("cpus").and_then(Json::as_u64).unwrap_or(0);
-                is_gate(s("workload"), s("model"), s("lock"), cpus, "fine")
-            })
-            .ok_or("baseline missing the 16-CPU fine ipc-echo row")?
-            .get("ops_per_mcycle")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "baseline row has no ops_per_mcycle".to_string())
-    });
-    match base_tp {
+    match base_rows {
         Err(e) => errs.push(e),
-        Ok(tp) if fine.throughput() < 0.9 * tp => errs.push(format!(
-            "16-CPU fine ipc-echo throughput regressed: {:.1} ops/Mcycle vs baseline {tp:.1}",
-            fine.throughput()
-        )),
-        Ok(_) => {}
+        Ok(rows) => {
+            let doc = to_json(scale, fresh);
+            let fresh_rows = doc.get("rows").and_then(Json::items).unwrap_or_default();
+            errs.extend(row_changes(rows, fresh_rows, scale, |i| {
+                let r = &fresh[i];
+                format!("{} {} {} {}-CPU", r.workload, r.model, r.lock, r.cpus)
+            }));
+        }
     }
     if fine.lock_wait_share() >= big.lock_wait_share() {
         errs.push(format!(
@@ -441,12 +420,18 @@ mod tests {
         // The gate refuses to compare across scales.
         assert!(!check(&parsed, Scale::Paper, &rows).is_empty());
 
-        // A 2x throughput regression must trip the gate.
+        // A 2x throughput regression trips the gate as a row change.
         let slow = vec![
             mk("fine", 2_000_000, 10_000),
             mk("big-lock", 2_000_000, 900_000),
         ];
-        assert!(!check(&parsed, Scale::Quick, &slow).is_empty());
+        assert_eq!(
+            check(&parsed, Scale::Quick, &slow),
+            vec![format!(
+                "ipc-echo {} fine 16-CPU row differs from the committed quick row",
+                Config::process_pp().label
+            )]
+        );
 
         // Fine losing the wait-share comparison must trip the gate.
         let contended = vec![

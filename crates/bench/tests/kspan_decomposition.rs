@@ -7,7 +7,7 @@
 //! kprof's sum-to-total contract one level up.
 
 use fluke_bench::kfault_sweep::SweepWorkload;
-use fluke_core::Config;
+use fluke_core::{Config, Contended, ObjKind};
 
 #[test]
 fn every_request_decomposes_exactly_to_e2e() {
@@ -86,7 +86,8 @@ fn checkpoint_contention_lands_on_the_mutex() {
             .kspan
             .contention()
             .iter()
-            .filter(|(obj, _)| obj.starts_with("mutex_"))
+            .filter(|(obj, _)| matches!(obj, Contended::Object(ObjKind::Mutex, _)))
+            .map(|(_, c)| *c)
             .collect();
         assert!(
             !mutexes.is_empty(),
@@ -94,15 +95,21 @@ fn checkpoint_contention_lands_on_the_mutex() {
             k.kspan.contention().keys().collect::<Vec<_>>()
         );
         assert!(
-            mutexes.iter().any(|(_, c)| c.wait_cycles > 0),
+            mutexes.iter().any(|c| c.wait_cycles > 0),
             "{label}: blocker waited on the mutex for zero cycles"
         );
-        // The kstat view carries the same accounting as family counters.
+        // The kstat view carries the same accounting summed over the
+        // mutex kind.
         let reg = k.kstat();
-        let (obj, c) = mutexes[0];
+        let (cycles, waits) = mutexes
+            .iter()
+            .fold((0, 0), |(c, w), m| (c + m.wait_cycles, w + m.waits));
         assert_eq!(
-            reg.scalar(&format!("kernel.contention.{obj}.wait_cycles")),
-            Some(c.wait_cycles),
+            (
+                reg.scalar("kernel.contention.object.mutex.wait_cycles"),
+                reg.scalar("kernel.contention.object.mutex.waits")
+            ),
+            (Some(cycles), Some(waits)),
             "{label}: kstat contention counter disagrees with kspan"
         );
     }

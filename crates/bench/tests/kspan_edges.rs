@@ -8,7 +8,7 @@
 use fluke_api::{ObjType, Sys};
 use fluke_arch::{Assembler, Reg};
 use fluke_bench::kfault_sweep::SweepWorkload;
-use fluke_core::{Config, Kernel, KfaultConfig, KfaultKind};
+use fluke_core::{Config, Contended, Kernel, KfaultConfig, KfaultKind, ObjKind};
 use fluke_user::proc::{run_to_halt, ChildProc};
 use fluke_user::FlukeAsm;
 
@@ -130,7 +130,7 @@ fn sched_donate_chain_decomposes_and_terminates() {
             k.kspan
                 .contention()
                 .keys()
-                .any(|obj| obj.starts_with("thread_")),
+                .any(|obj| matches!(obj, Contended::Object(ObjKind::Thread, _))),
             "{label}: donated-to threads missing from contention accounting"
         );
     }

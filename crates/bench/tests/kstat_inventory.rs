@@ -2,7 +2,8 @@
 //! (uniqueness is asserted at insert; a duplicate would panic while
 //! building the snapshot), and instantiates a pattern documented in the
 //! DESIGN.md §13 metrics inventory — in both directions, so the doc
-//! table can neither miss a metric nor carry a stale row.
+//! table can neither miss a metric nor carry a stale row — and the row
+//! set does not grow with the workload's object count.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -10,6 +11,8 @@ use std::path::PathBuf;
 use fluke_bench::{observability, Scale};
 use fluke_core::kstat::valid_name;
 use fluke_core::Config;
+use fluke_workloads::common::try_finish;
+use fluke_workloads::flukeperf::{self, FlukeperfParams};
 
 fn design_md() -> String {
     let p = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -59,7 +62,8 @@ fn every_metric_is_well_named_and_inventoried() {
     for p in &inventory {
         let instantiated = p
             .replace("<entrypoint>", "sys_null")
-            .replace("<object>", "klock");
+            .replace("<kind>", "mutex")
+            .replace("<class>", "klock");
         assert!(
             valid_name(&instantiated),
             "doc pattern {p:?} instantiates to an invalid name"
@@ -93,4 +97,25 @@ fn every_metric_is_well_named_and_inventoried() {
             "DESIGN.md §13 documents {p:?} but no registry entry instantiates it"
         );
     }
+}
+
+/// Metric cardinality is bounded: a kspan-armed flukeperf run exports
+/// the same set of rows whatever its connection count (each small RPC
+/// opens its own connection), so contention is reported per object kind
+/// and lock class, never per object.
+#[test]
+fn row_set_does_not_depend_on_the_connection_count() {
+    let rows = |small_rpcs: u32| {
+        let p = FlukeperfParams {
+            small_rpcs,
+            ..FlukeperfParams::quick()
+        };
+        let mut w = flukeperf::build(Config::process_pp().with_kspan(), &p);
+        try_finish(&mut w, 2_000_000_000).expect("flukeperf finishes");
+        let reg = w.kernel.kstat();
+        reg.iter()
+            .map(|(name, _)| name.to_string())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(rows(10), rows(40));
 }

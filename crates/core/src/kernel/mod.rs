@@ -177,20 +177,40 @@ pub(crate) enum LockKey {
 }
 
 impl LockKey {
-    /// Object-class label for `kspan` contention accounting
-    /// (`kernel.contention.<object>.*`). Run-queue waits are excluded —
-    /// they have their own first-class counters
+    /// The lock's class for `kspan` contention accounting, or `None` for
+    /// a run-queue lock, whose waits have their own first-class counters
     /// (`kernel.contention.runq.*`).
-    pub(crate) fn class(self) -> &'static str {
+    pub(crate) fn class(self) -> Option<LockClass> {
         match self {
-            LockKey::Sched => "sched",
-            LockKey::RunQueue(_) => "runq",
-            LockKey::Handles(_) => "handles",
-            LockKey::Space(_) => "space",
-            LockKey::Conn(_) => "ipc",
-            LockKey::Global => "klock",
+            LockKey::Sched => Some(LockClass::Sched),
+            LockKey::RunQueue(_) => None,
+            LockKey::Handles(_) => Some(LockClass::Handles),
+            LockKey::Space(_) => Some(LockClass::Space),
+            LockKey::Conn(_) => Some(LockClass::Ipc),
+            LockKey::Global => Some(LockClass::Klock),
         }
     }
+}
+
+/// A kernel-lock class as `kspan` counts contention on it: every
+/// `LockKey` but the run-queue locks, with the object identity dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LockClass {
+    /// The scheduler core.
+    Sched,
+    /// The per-space handle tables.
+    Handles,
+    /// The per-space mapping state.
+    Space,
+    /// The per-connection IPC locks.
+    Ipc,
+    /// The big kernel lock (`LockKey::Global`).
+    Klock,
+}
+
+impl LockClass {
+    /// Each class's name, indexed by the class.
+    pub(crate) const NAMES: [&'static str; 5] = ["sched", "handles", "space", "ipc", "klock"];
 }
 
 /// One simulated processor.

@@ -24,7 +24,7 @@ use crate::sched::ClockIndex;
 use crate::thread::Body;
 
 use super::locktable::{LockBounds, LockTable};
-use super::{CpuSlot, Kernel, LockKey};
+use super::{CpuSlot, Kernel, LockClass, LockKey};
 
 /// One contiguous resident-memory run: `(vaddr, bytes, writable)`
 /// (debugger view, see [`Kernel::debug_space_map`]).
@@ -37,6 +37,14 @@ snap_enum!(LockKey {
     3 => Space(i),
     4 => Conn(i),
     5 => Global,
+});
+
+snap_enum!(LockClass {
+    0 => Sched,
+    1 => Handles,
+    2 => Space,
+    3 => Ipc,
+    4 => Klock,
 });
 
 // A CPU slot is encoded with its parked bit last. The bit lives in the

@@ -68,7 +68,7 @@ use crate::kfault::{KfaultConfig, KfaultKind};
 /// Snapshot file magic: `"FKSN"`.
 pub const SNAP_MAGIC: [u8; 4] = *b"FKSN";
 /// Current snapshot format version.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit offset basis (shared with the sweep harnesses' digests).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1540,11 +1540,11 @@ mod tests {
         use crate::conn::{ClientEnd, KernelMsg};
         use crate::events::EventKind;
         use crate::ids::{ConnId, ObjId, SpaceId, ThreadId};
-        use crate::kernel::LockKey;
-        use crate::kspan::Seg;
+        use crate::kernel::{LockClass, LockKey};
+        use crate::kspan::{Contended, Seg};
         use crate::kstat::{FaultKind, FaultSide};
         use crate::object::ObjData;
-        use crate::thread::{IpcRole, RunState, WaitReason};
+        use crate::thread::{IpcRole, ObjKind, RunState, WaitReason};
         use crate::trace::TraceEvent;
         use crate::waitq::WaitQueue;
         use Reg::{Eax as A, Ecx as C};
@@ -1616,6 +1616,35 @@ mod tests {
                 RunState::Running(2),
                 RunState::Blocked(WaitReason::Join(t)),
                 RunState::Halted,
+            ],
+        );
+        check_tags(
+            "ObjKind",
+            &[
+                ObjKind::Mutex,
+                ObjKind::Cond,
+                ObjKind::Port,
+                ObjKind::Pset,
+                ObjKind::Conn,
+                ObjKind::Thread,
+                ObjKind::Space,
+            ],
+        );
+        check_tags(
+            "LockClass",
+            &[
+                LockClass::Sched,
+                LockClass::Handles,
+                LockClass::Space,
+                LockClass::Ipc,
+                LockClass::Klock,
+            ],
+        );
+        check_tags(
+            "Contended",
+            &[
+                Contended::Object(ObjKind::Conn, 206),
+                Contended::Lock(LockClass::Klock),
             ],
         );
         check_tags(

@@ -25,10 +25,12 @@
 //! instant, so no cycle is counted twice or dropped.
 //!
 //! Wait-queue cycles are additionally attributed to the *specific object*
-//! waited on (mutex, condvar, port, portset, connection, thread, space,
-//! and the big kernel lock as `klock`), surfaced as
-//! `kernel.contention.*` kstat counters — the explanatory variable the
-//! per-CPU-scheduling roadmap item needs.
+//! waited on (mutex, condvar, port, portset, connection, thread, space),
+//! keyed by a typed [`Contended`] `(kind, index)`, and kernel-lock waits
+//! to their lock class (the big kernel lock as `klock`). kstat reports
+//! them summed per kind and per class (`kernel.contention.object.*`,
+//! `kernel.contention.lock.*`), a fixed set of rows; the per-object view
+//! is the bounded [`Kspan::top_contended`] list.
 //!
 //! Everything here is host-side observation: the layer consumes the
 //! kernel's probe stream (`Kspan::observe`), reads the simulated clock
@@ -37,15 +39,16 @@
 //! zero-perturbation proof obligation, enforced in the bench tests).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use fluke_api::Sys;
 use fluke_arch::cost::Cycles;
 
 use crate::ids::ThreadId;
-use crate::kernel::LockKey;
+use crate::kernel::LockClass;
 use crate::kprof;
 use crate::probe::{Probe, ProbeCx};
-use crate::thread::{WaitClass, WaitReason};
+use crate::thread::{ObjKind, WaitClass, WaitReason};
 use crate::trace::Histogram;
 
 /// Pseudo phase-path code for user-mode cycles inside a request
@@ -167,6 +170,36 @@ pub struct FlowEdge {
     pub at: Cycles,
 }
 
+/// What one contention entry counts: waits on one object, or waits on
+/// one kernel-lock class. Displays as `conn_206` or `klock`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Contended {
+    /// An object of the given kind, by arena index.
+    Object(ObjKind, u32),
+    /// A kernel-lock class.
+    Lock(LockClass),
+}
+
+impl Contended {
+    /// The kind or class name, then the object index (`None` for a lock
+    /// class): the tie-break order of [`Kspan::top_contended`].
+    fn name_index(self) -> (&'static str, Option<u32>) {
+        match self {
+            Contended::Object(kind, i) => (ObjKind::NAMES[kind as usize], Some(i)),
+            Contended::Lock(class) => (LockClass::NAMES[class as usize], None),
+        }
+    }
+}
+
+impl fmt::Display for Contended {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.name_index() {
+            (name, Some(i)) => write!(f, "{name}_{i}"),
+            (name, None) => f.write_str(name),
+        }
+    }
+}
+
 /// Wait cycles and wait counts attributed to one contended object.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObjectContention {
@@ -193,7 +226,7 @@ pub struct Kspan {
     completed: Vec<RequestRecord>,
     aborted: u64,
     flows: Vec<FlowEdge>,
-    contention: BTreeMap<String, ObjectContention>,
+    contention: BTreeMap<Contended, ObjectContention>,
     class_hist: BTreeMap<&'static str, Histogram>,
     class_frames: BTreeMap<&'static str, BTreeMap<u32, u64>>,
     overall: Histogram,
@@ -245,10 +278,12 @@ impl Kspan {
                 }
             }
             Probe::User { thread, cycles } => self.user(thread, cycles),
-            // Run-queue waits have their own first-class counters
-            // (`kernel.contention.runq.*`).
-            Probe::LockWait { key, cycles } if !matches!(key, LockKey::RunQueue(_)) => {
-                self.lock_wait(cx.current, key.class(), cycles)
+            // Run-queue waits have no class: they have their own
+            // first-class counters (`kernel.contention.runq.*`).
+            Probe::LockWait { key, cycles } => {
+                if let Some(class) = key.class() {
+                    self.lock_wait(cx.current, class, cycles)
+                }
             }
             Probe::IpcMessage {
                 flow: Some((from, to)),
@@ -322,7 +357,10 @@ impl Kspan {
         span.seg = new;
         if let Some((reason, len)) = contended {
             if let Some((kind, idx)) = reason.contended_object() {
-                let e = self.contention.entry(format!("{kind}_{idx}")).or_default();
+                let e = self
+                    .contention
+                    .entry(Contended::Object(kind, idx))
+                    .or_default();
                 e.wait_cycles += len;
                 e.waits += 1;
             }
@@ -402,12 +440,10 @@ impl Kspan {
 
     /// A kernel-lock wait of `cycles` finished on the acting CPU (`t`
     /// its current thread, if any). Attributed to the contended lock's
-    /// object class (`"klock"` for the big lock's `Global` key; `"sched"`,
-    /// `"space"`, `"handles"`, `"ipc"` for fine-grained classes), and
-    /// carved out of the running span's on-CPU segment into the lock
-    /// bucket.
-    fn lock_wait(&mut self, t: Option<ThreadId>, class: &'static str, cycles: Cycles) {
-        let e = self.contention.entry(class.to_string()).or_default();
+    /// class ([`LockClass::Klock`] for the big lock), and carved out of
+    /// the running span's on-CPU segment into the lock bucket.
+    fn lock_wait(&mut self, t: Option<ThreadId>, class: LockClass, cycles: Cycles) {
+        let e = self.contention.entry(Contended::Lock(class)).or_default();
         e.wait_cycles += cycles;
         e.waits += 1;
         if let Some(t) = t {
@@ -479,9 +515,9 @@ impl Kspan {
         &self.flows
     }
 
-    /// Per-object contention: stable key (`mutex_3`, `conn_0`, `klock`,
-    /// …) → wait cycles and counts.
-    pub fn contention(&self) -> &BTreeMap<String, ObjectContention> {
+    /// Per-object contention: key (`mutex_3`, `conn_0`, `klock`, …) →
+    /// wait cycles and counts.
+    pub fn contention(&self) -> &BTreeMap<Contended, ObjectContention> {
         &self.contention
     }
 
@@ -501,15 +537,16 @@ impl Kspan {
         &self.overall
     }
 
-    /// The top `n` contended objects by wait cycles (ties: key order),
-    /// as `(key, contention)` pairs.
-    pub fn top_contended(&self, n: usize) -> Vec<(&str, ObjectContention)> {
-        let mut v: Vec<(&str, ObjectContention)> = self
-            .contention
-            .iter()
-            .map(|(k, c)| (k.as_str(), *c))
-            .collect();
-        v.sort_by(|a, b| b.1.wait_cycles.cmp(&a.1.wait_cycles).then(a.0.cmp(b.0)));
+    /// The top `n` contended objects by wait cycles (ties: kind or class
+    /// name, then object index), as `(key, contention)` pairs.
+    pub fn top_contended(&self, n: usize) -> Vec<(Contended, ObjectContention)> {
+        let mut v: Vec<(Contended, ObjectContention)> =
+            self.contention.iter().map(|(k, c)| (*k, *c)).collect();
+        v.sort_by(|a, b| {
+            b.1.wait_cycles
+                .cmp(&a.1.wait_cycles)
+                .then(a.0.name_index().cmp(&b.0.name_index()))
+        });
         v.truncate(n);
         v
     }
@@ -569,6 +606,11 @@ snap_struct!(FlowEdge {
     at,
 });
 
+snap_enum!(Contended {
+    0 => Object(kind, index),
+    1 => Lock(class),
+});
+
 snap_struct!(ObjectContention { wait_cycles, waits });
 
 fn snap_class_map<V: Snap>(m: &BTreeMap<&'static str, V>, w: &mut SnapWriter) {
@@ -610,6 +652,7 @@ snap_struct!(Kspan {
 mod tests {
     use super::*;
     use crate::ids::{ConnId, ObjId};
+    use crate::kernel::LockKey;
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -695,7 +738,10 @@ mod tests {
         );
         assert_eq!(k.completed()[0].parent, Some(0));
         assert_eq!(k.completed()[0].class, "invalid");
-        assert_eq!(k.contention().keys().collect::<Vec<_>>(), ["klock"]);
+        assert_eq!(
+            k.contention().keys().collect::<Vec<_>>(),
+            [&Contended::Lock(LockClass::Klock)]
+        );
         feed(&mut k, &[Probe::Close { thread: T0 }]);
         assert_eq!(k.open_count(), 0);
     }
@@ -719,7 +765,7 @@ mod tests {
         assert_eq!(r.blocked_other, 0);
         assert_eq!(r.decomposed(), r.e2e());
         // The IPC wait was attributed to the connection.
-        let c = &k.contention()["conn_3"];
+        let c = &k.contention()[&Contended::Object(ObjKind::Conn, 3)];
         assert_eq!(c.wait_cycles, 60);
         assert_eq!(c.waits, 1);
     }
@@ -728,7 +774,7 @@ mod tests {
     fn lock_waits_carve_out_of_on_cpu_segment() {
         let mut k = Kspan::new(true);
         k.open(T0, "sys_null", 0);
-        k.lock_wait(Some(T0), "klock", 15); // big-lock wait inside the segment
+        k.lock_wait(Some(T0), LockClass::Klock, 15); // big-lock wait inside the segment
         k.charge(T0, 0x3, 50, 10); // FP surcharge adds 10 more
         k.close(T0, 100);
         let r = &k.completed()[0];
@@ -736,7 +782,10 @@ mod tests {
         assert_eq!(r.lock_wait, 25);
         assert_eq!(r.on_cpu, 75);
         assert_eq!(r.decomposed(), r.e2e());
-        assert_eq!(k.contention()["klock"].wait_cycles, 15);
+        assert_eq!(
+            k.contention()[&Contended::Lock(LockClass::Klock)].wait_cycles,
+            15
+        );
     }
 
     #[test]
@@ -755,7 +804,10 @@ mod tests {
         assert_eq!(r.lock_wait, 40);
         assert_eq!(r.runnable_wait, 10);
         assert_eq!(r.on_cpu, 20);
-        assert_eq!(k.contention()["mutex_7"].waits, 1);
+        assert_eq!(
+            k.contention()[&Contended::Object(ObjKind::Mutex, 7)].waits,
+            1
+        );
     }
 
     #[test]
@@ -769,7 +821,10 @@ mod tests {
         let r = &k.completed()[0];
         assert_eq!(r.blocked_ipc, 90);
         assert_eq!(r.decomposed(), r.e2e());
-        assert_eq!(k.contention()["conn_1"].waits, 2);
+        assert_eq!(
+            k.contention()[&Contended::Object(ObjKind::Conn, 1)].waits,
+            2
+        );
     }
 
     #[test]
@@ -861,8 +916,48 @@ mod tests {
         k.transition(T0, Seg::Runnable, 130);
         k.close(T0, 130);
         let top = k.top_contended(2);
-        assert_eq!(top[0].0, "mutex_1");
+        assert_eq!(top[0].0, Contended::Object(ObjKind::Mutex, 1));
         assert_eq!(top[0].1.wait_cycles, 100);
-        assert_eq!(top[1].0, "mutex_2");
+        assert_eq!(top[1].0.to_string(), "mutex_2");
+    }
+
+    #[test]
+    fn keys_display_their_kind_or_class_name() {
+        use LockClass::{Handles, Ipc, Klock, Sched};
+        use ObjKind::{Cond, Conn, Mutex, Port, Pset, Thread};
+        let kinds = [Mutex, Cond, Port, Pset, Conn, Thread, ObjKind::Space];
+        assert_eq!(
+            kinds.map(|k| Contended::Object(k, 1).to_string()),
+            ["mutex_1", "cond_1", "port_1", "pset_1", "conn_1", "thread_1", "space_1"]
+        );
+        let classes = [Sched, Handles, LockClass::Space, Ipc, Klock];
+        assert_eq!(
+            classes.map(|c| Contended::Lock(c).to_string()),
+            ["sched", "handles", "space", "ipc", "klock"]
+        );
+    }
+
+    #[test]
+    fn top_contended_breaks_ties_by_name_then_index() {
+        let mut k = Kspan::new(true);
+        k.open(T0, "a", 0);
+        for (i, reason) in [
+            WaitReason::IpcSend(ConnId(10)),
+            WaitReason::IpcSend(ConnId(9)),
+            WaitReason::SpaceIdle(crate::ids::SpaceId(0)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            k.transition(T0, Seg::Blocked(reason), 10 * i as u64);
+            k.transition(T0, Seg::Runnable, 10 * i as u64 + 10);
+        }
+        k.lock_wait(Some(T0), LockClass::Space, 10);
+        let top: Vec<String> = k
+            .top_contended(4)
+            .iter()
+            .map(|(key, _)| key.to_string())
+            .collect();
+        assert_eq!(top, ["conn_9", "conn_10", "space", "space_0"]);
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! Registry names obey the `[a-z0-9_.]+` grammar, are unique, and every
 //! name is an instance of a static *pattern* (`<entrypoint>` standing for
-//! a syscall name) listed in the DESIGN.md §13 metrics inventory; a
+//! a syscall name, `<kind>` for a contended object kind, `<class>` for a
+//! kernel-lock class) listed in the DESIGN.md §13 metrics inventory; a
 //! hygiene test parses the doc so the inventory cannot rot. Snapshots are
 //! `BTreeMap`-ordered, so the JSON and text exports are bit-deterministic.
 
@@ -30,7 +31,9 @@ use fluke_api::{Sys, SYSCALLS, SYSCALL_COUNT};
 use fluke_arch::cost::{cycles_to_us, Cycles};
 use fluke_json::Json;
 
-use crate::kernel::{block_audit_hits, Kernel};
+use crate::kernel::{block_audit_hits, Kernel, LockClass};
+use crate::kspan::{Contended, ObjectContention};
+use crate::thread::ObjKind;
 use crate::tlb::TlbStats;
 use crate::trace::Histogram;
 
@@ -651,32 +654,40 @@ impl Kernel {
                 "kernel.kspan.e2e_cycles",
                 self.kspan.e2e_histogram().clone(),
             );
-            // The big-lock pseudo-object is always present (zero if never
-            // contended) so the inventory has a deterministic family row.
-            let mut seen_klock = false;
-            for (obj, c) in self.kspan.contention() {
-                seen_klock |= obj == "klock";
+            // One row pair per object kind and per lock class, zeros
+            // included, so the row set never depends on the workload.
+            let mut objects = [ObjectContention::default(); ObjKind::NAMES.len()];
+            let mut locks = [ObjectContention::default(); LockClass::NAMES.len()];
+            for (key, c) in self.kspan.contention() {
+                let sum = match *key {
+                    Contended::Object(kind, _) => &mut objects[kind as usize],
+                    Contended::Lock(class) => &mut locks[class as usize],
+                };
+                sum.wait_cycles += c.wait_cycles;
+                sum.waits += c.waits;
+            }
+            for (kind, c) in ObjKind::NAMES.iter().zip(objects) {
                 r.family_counter(
-                    format!("kernel.contention.{obj}.wait_cycles"),
-                    "kernel.contention.<object>.wait_cycles",
+                    format!("kernel.contention.object.{kind}.wait_cycles"),
+                    "kernel.contention.object.<kind>.wait_cycles",
                     c.wait_cycles,
                 );
                 r.family_counter(
-                    format!("kernel.contention.{obj}.waits"),
-                    "kernel.contention.<object>.waits",
+                    format!("kernel.contention.object.{kind}.waits"),
+                    "kernel.contention.object.<kind>.waits",
                     c.waits,
                 );
             }
-            if !seen_klock {
+            for (class, c) in LockClass::NAMES.iter().zip(locks) {
                 r.family_counter(
-                    "kernel.contention.klock.wait_cycles".to_string(),
-                    "kernel.contention.<object>.wait_cycles",
-                    0,
+                    format!("kernel.contention.lock.{class}.wait_cycles"),
+                    "kernel.contention.lock.<class>.wait_cycles",
+                    c.wait_cycles,
                 );
                 r.family_counter(
-                    "kernel.contention.klock.waits".to_string(),
-                    "kernel.contention.<object>.waits",
-                    0,
+                    format!("kernel.contention.lock.{class}.waits"),
+                    "kernel.contention.lock.<class>.waits",
+                    c.waits,
                 );
             }
         }

@@ -59,13 +59,13 @@ pub use krec::{
     trace_suffix_digest, Divergence, Krec, KrecConfig, Recording, ReplayError, Replayer, RunWindow,
     Snap, SnapError, SnapReader, SnapWriter, Snapshot,
 };
-pub use kspan::{FlowEdge, Kspan, ObjectContention, RequestRecord, USER_FRAME};
+pub use kspan::{Contended, FlowEdge, Kspan, ObjectContention, RequestRecord, USER_FRAME};
 pub use kstat::{
     FaultKind, FaultRecord, FaultSide, KstatEntry, KstatRegistry, KstatValue, MemGauges,
     PerSysCounts, Stats,
 };
 pub use oracle::Outcome;
-pub use thread::{NativeAction, NativeBody, RunState, WaitReason};
+pub use thread::{NativeAction, NativeBody, ObjKind, RunState, WaitReason};
 pub use tlb::TlbStats;
 pub use trace::{Histogram, TraceEvent, TraceRecord, TraceRing, Tracer, UserVisible};
 pub use waitq::{WaitQueue, WaitqStats};

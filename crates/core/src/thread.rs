@@ -90,26 +90,52 @@ impl WaitReason {
         }
     }
 
-    /// The specific object this wait contends on, as a stable
-    /// `(kind, index)` pair for `kernel.contention.*` attribution
-    /// (`None` for plain sleeps, which wait on nothing).
-    pub fn contended_object(self) -> Option<(&'static str, u32)> {
+    /// The specific object this wait contends on, as a `(kind, index)`
+    /// pair for `kspan` contention attribution (`None` for plain sleeps,
+    /// which wait on nothing).
+    pub fn contended_object(self) -> Option<(ObjKind, u32)> {
         match self {
-            WaitReason::Mutex(o) => Some(("mutex", o.0)),
-            WaitReason::Cond(o) => Some(("cond", o.0)),
+            WaitReason::Mutex(o) => Some((ObjKind::Mutex, o.0)),
+            WaitReason::Cond(o) => Some((ObjKind::Cond, o.0)),
             WaitReason::PortWait(o)
             | WaitReason::OnewaySend(o)
             | WaitReason::OnewayReceive(o)
-            | WaitReason::IpcConnect(o) => Some(("port", o.0)),
-            WaitReason::PsetWait(o) => Some(("pset", o.0)),
+            | WaitReason::IpcConnect(o) => Some((ObjKind::Port, o.0)),
+            WaitReason::PsetWait(o) => Some((ObjKind::Pset, o.0)),
             WaitReason::IpcSend(c) | WaitReason::IpcReceive(c) | WaitReason::PagerReply(c) => {
-                Some(("conn", c.0))
+                Some((ObjKind::Conn, c.0))
             }
-            WaitReason::Join(t) | WaitReason::Donate(t) => Some(("thread", t.0)),
-            WaitReason::SpaceIdle(s) => Some(("space", s.0)),
+            WaitReason::Join(t) | WaitReason::Donate(t) => Some((ObjKind::Thread, t.0)),
+            WaitReason::SpaceIdle(s) => Some((ObjKind::Space, s.0)),
             WaitReason::Sleep => None,
         }
     }
+}
+
+/// The kind of object a blocked thread waits on
+/// ([`WaitReason::contended_object`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ObjKind {
+    /// A mutex.
+    Mutex,
+    /// A condition variable.
+    Cond,
+    /// A port (connects and one-way messages).
+    Port,
+    /// A portset.
+    Pset,
+    /// An IPC connection (pager replies included).
+    Conn,
+    /// A thread (joins and CPU donation).
+    Thread,
+    /// A space (waiting for it to run out of threads).
+    Space,
+}
+
+impl ObjKind {
+    /// Each kind's name, indexed by the kind (`conn` in `conn_206`).
+    pub(crate) const NAMES: [&'static str; 7] =
+        ["mutex", "cond", "port", "pset", "conn", "thread", "space"];
 }
 
 /// A thread's run state.
@@ -339,6 +365,16 @@ snap_enum!(WaitReason {
     11 => Sleep,
     12 => SpaceIdle(s),
     13 => Donate(t),
+});
+
+snap_enum!(ObjKind {
+    0 => Mutex,
+    1 => Cond,
+    2 => Port,
+    3 => Pset,
+    4 => Conn,
+    5 => Thread,
+    6 => Space,
 });
 
 snap_enum!(RunState {
