@@ -244,7 +244,7 @@ pub fn critical_path_totals(k: &Kernel) -> (u64, u64, u64, u64, u64) {
 pub fn collapsed_spans(k: &Kernel) -> Vec<String> {
     let mut lines = Vec::new();
     for (class, frames) in k.kspan.class_frames() {
-        for (&code, &cycles) in frames {
+        for (code, cycles) in frames.iter() {
             lines.push(format!(
                 "{class};{} {cycles}",
                 fluke_core::kspan::frame_name(code)

@@ -14,7 +14,7 @@ use crate::ids::ThreadId;
 use crate::kprof::Phase;
 use crate::kstat::FaultSide;
 use crate::probe::Probe;
-use crate::thread::{Body, NativeAction, RunState};
+use crate::thread::{Body, NativeAction, RunState, Thread};
 
 use super::mem::SpaceMemAdapter;
 use super::{Kernel, LockKey, SysOutcome};
@@ -311,18 +311,20 @@ impl Kernel {
         if let Some(l) = limit {
             deadline = deadline.min(l.max(now + 1));
         }
-        let (text, sid) = {
-            let th = self.threads.get(cur.0).expect("current");
-            match (&th.text, th.space) {
-                (Some(text), Some(sid)) => (text.clone(), sid),
-                _ => {
-                    self.kill_thread(cur, "user thread without text/space");
-                    return;
-                }
-            }
-        };
         let (trap, used) = {
-            let th = self.threads.get_mut(cur.0).expect("current");
+            // Borrow the text and registers side by side instead of
+            // cloning the text's `Arc` on every slice.
+            let Thread {
+                text,
+                regs,
+                space,
+                user_cycles,
+                ..
+            } = self.threads.get_mut(cur.0).expect("current");
+            let (Some(text), Some(sid)) = (text.as_deref(), *space) else {
+                self.kill_thread(cur, "user thread without text/space");
+                return;
+            };
             let Some(space) = self.spaces.get_mut(sid.0) else {
                 self.kill_thread(cur, "space destroyed");
                 return;
@@ -334,12 +336,11 @@ impl Kernel {
             };
             let active = self.active;
             let before = self.cpus[active].cpu.now;
-            let out =
-                self.cpus[active]
-                    .cpu
-                    .run_user(&mut th.regs, &text, &mut mem, &self.cost, deadline);
+            let out = self.cpus[active]
+                .cpu
+                .run_user(regs, text, &mut mem, &self.cost, deadline);
             let used = self.cpus[active].cpu.now - before;
-            th.user_cycles += used;
+            *user_cycles += used;
             self.stats.user_cycles += used;
             match out {
                 StepOutcome::Trapped(t) => (Some(t), used),

@@ -147,7 +147,7 @@ impl Kernel {
         self.stats.snap(w);
         self.trace.snap(w);
         self.kprof.snap_image(w, self.kspan.enabled);
-        self.kspan.snap(w);
+        self.kspan.snap_image(w);
         self.kfault.snap(w);
         self.dispatch_rollback.snap(w);
         w.bool(self.rollback_active);
@@ -209,7 +209,7 @@ impl Kernel {
         let (cpus, cpu_index) = restore_cpus(&mut r, cfg.num_cpus)?;
         let active = r.usize()?;
         let lock_entries = restore_lock_entries(&mut r)?;
-        let threads = Snap::restore(&mut r)?;
+        let threads: crate::ids::Arena<crate::thread::Thread> = Snap::restore(&mut r)?;
         let spaces = Snap::restore(&mut r)?;
         let objects = Snap::restore(&mut r)?;
         let conns = Snap::restore(&mut r)?;
@@ -221,7 +221,7 @@ impl Kernel {
         let stats = Snap::restore(&mut r)?;
         let trace = Snap::restore(&mut r)?;
         let kprof = crate::kprof::Kprof::restore_image(&mut r)?;
-        let kspan = Snap::restore(&mut r)?;
+        let kspan = crate::kspan::Kspan::restore_image(&mut r, threads.slots())?;
         let kfault = Snap::restore(&mut r)?;
         let dispatch_rollback = Snap::restore(&mut r)?;
         let rollback_active = r.bool()?;
@@ -588,6 +588,62 @@ mod tests {
             Some(SnapError::Invalid(
                 "a blocked thread is not on the wait queue its reason names"
             ))
+        );
+    }
+
+    /// Where `section`'s bytes (a [`SnapWriter`] stream, trailer dropped)
+    /// start in `image`; they must occur exactly once.
+    fn find_section(image: &[u8], section: impl FnOnce(&mut SnapWriter)) -> usize {
+        let mut w = SnapWriter::new();
+        section(&mut w);
+        let bytes = w.finish();
+        let bytes = &bytes[..bytes.len() - 8];
+        let mut at = image.windows(bytes.len()).enumerate();
+        let (i, _) = at.find(|(_, w)| *w == bytes).expect("section in image");
+        assert!(at.all(|(_, w)| w != bytes), "section occurs twice");
+        i
+    }
+
+    #[test]
+    fn restore_rejects_a_span_past_the_thread_arena_and_a_foreign_path_code() {
+        let mut k = Kernel::new(Config::process_np().with_kprof().with_kspan());
+        let space = k.create_space();
+        let mut a = fluke_arch::Assembler::new("sleep");
+        a.movi(fluke_arch::Reg::Eax, fluke_api::Sys::ThreadSleep.num());
+        a.syscall();
+        a.halt();
+        let pid = k.register_program(a.finish());
+        let t = k.spawn_thread(space, pid, fluke_arch::UserRegs::new(), 8);
+        assert_eq!(k.run(None), super::super::RunExit::Deadlock);
+        assert_eq!(k.kspan.open_count(), 1, "the sleeping call's span is open");
+        let clean = k.snapshot_bytes().unwrap();
+        assert!(Kernel::restore_from(&clean).is_ok());
+
+        // The first live span's thread follows kspan's enabled flag, its
+        // two id counters and the span count.
+        let at = find_section(&clean, |w| k.kspan.snap_image(w)) + 1 + 8 + 8 + 8;
+        assert_eq!(clean[at..at + 4], t.0.to_le_bytes());
+        for bad in [k.threads.slots() as u32, u32::MAX] {
+            let mut bytes = clean.clone();
+            bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+            restamp(&mut bytes);
+            assert_eq!(
+                Kernel::restore_from(&bytes).err(),
+                Some(SnapError::Invalid("kspan span past the thread arena")),
+                "span on thread {bad}"
+            );
+        }
+
+        // The first kernel path code follows kprof's two flags, the empty
+        // phase stack, the user and idle totals and the path count.
+        let at = find_section(&clean, |w| k.kprof.snap_image(w, true)) + 2 + 9 + 8 + 8 + 8;
+        assert_ne!(clean[at - 8..at], [0; 8], "no kernel path attributed");
+        let mut bytes = clean.clone();
+        bytes[at..at + 4].copy_from_slice(&0xau32.to_le_bytes());
+        restamp(&mut bytes);
+        assert_eq!(
+            Kernel::restore_from(&bytes).err(),
+            Some(SnapError::Invalid("kprof path code"))
         );
     }
 

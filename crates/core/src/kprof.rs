@@ -16,18 +16,22 @@
 //! `dispatch` while a handler runs, the phase the charge names, and the
 //! `restart` leaf during rollback. It is packed into a `u32` (4 bits per
 //! level), so attributing a charge is a few integer ops — no strings, no
-//! allocation on the hot path. Self-cycles per path live in a `BTreeMap`
-//! keyed by packed path, which also makes every report deterministic.
+//! allocation on the hot path. `charge_path` produces a fixed set of 32
+//! codes; with the top-level lock bucket and kspan's user frame that is
+//! 34, and self-cycles per path live in a [`PathCycles`]: one
+//! counter per code in a fixed array, found through a static code → slot
+//! table and kept in packed-code order, so every report is deterministic.
+//! kspan uses the same table for each live span's frames and each request
+//! class's flamegraph, so a charge allocates nothing there either.
 //!
 //! `kprof` additionally feeds the §5.3 preemptibility axis: a
 //! **preemption-latency histogram** of event-raised → next-dispatch
 //! cycles, recorded for every thread a timer event wakes (the Table 6
 //! probe generalized to all timer-driven wakeups).
 
-use std::collections::BTreeMap;
-
 use fluke_arch::cost::Cycles;
 
+use crate::kspan::USER_FRAME;
 use crate::probe::{Probe, ProbeCx};
 use crate::trace::Histogram;
 
@@ -75,7 +79,7 @@ impl Phase {
         }
     }
 
-    fn from_nibble(n: u32) -> Option<Phase> {
+    const fn from_nibble(n: u32) -> Option<Phase> {
         Some(match n {
             1 => Phase::Entry,
             2 => Phase::Exit,
@@ -123,20 +127,156 @@ pub fn path_name(code: u32) -> String {
 /// top-level lock bucket, and kspan's per-request frames keep it on the
 /// enclosing path.
 #[inline]
-pub(crate) fn charge_path(dispatch: bool, phase: Option<Phase>, rollback: bool) -> u32 {
+pub const fn charge_path(dispatch: bool, phase: Option<Phase>, rollback: bool) -> u32 {
     let (mut code, mut shift) = (0, 0);
     if dispatch {
         code = Phase::Dispatch as u32;
         shift = 4;
     }
-    if let Some(p) = phase.filter(|&p| p != Phase::Lock) {
-        code |= (p as u32) << shift;
-        shift += 4;
+    if let Some(p) = phase {
+        if !matches!(p, Phase::Lock) {
+            code |= (p as u32) << shift;
+            shift += 4;
+        }
     }
     if rollback {
         code |= (Phase::Restart as u32) << shift;
     }
     code
+}
+
+/// Packed codes below this bound index the slot table: a charge path has
+/// at most three levels (`dispatch;phase;restart`), so it stays below it.
+const CODE_SPACE: usize = 0x1000;
+
+/// The slot table (each code's slot plus one; 0 for a code no charge
+/// produces) and the slot count. Slots number the codes `charge_path`
+/// produces and the top-level lock bucket in ascending code order;
+/// [`USER_FRAME`], the largest code, takes the last slot.
+const fn slot_table() -> ([u8; CODE_SPACE], usize) {
+    let mut slot = [0u8; CODE_SPACE];
+    slot[Phase::Lock as usize] = 1;
+    // Every (dispatch, phase nibble or none, rollback) triple.
+    let mut i = 0;
+    while i < 2 * 10 * 2 {
+        let phase = Phase::from_nibble((i / 2 % 10) as u32);
+        slot[charge_path(i >= 20, phase, i % 2 == 1) as usize] = 1;
+        i += 1;
+    }
+    let (mut code, mut n) = (0, 0);
+    while code < CODE_SPACE {
+        if slot[code] != 0 {
+            n += 1;
+            slot[code] = n as u8;
+        }
+        code += 1;
+    }
+    (slot, n + 1)
+}
+
+const SLOT_TABLE: ([u8; CODE_SPACE], usize) = slot_table();
+
+/// Number of codes a [`PathCycles`] holds.
+const PATHS: usize = SLOT_TABLE.1;
+
+const _: () = assert!(PATHS <= u64::BITS as usize, "one presence bit per slot");
+
+static SLOTS: [u8; CODE_SPACE] = SLOT_TABLE.0;
+
+/// Each slot's code, ascending.
+static CODES: [u32; PATHS] = {
+    let mut codes = [USER_FRAME; PATHS];
+    let mut code = 0;
+    while code < CODE_SPACE {
+        if SLOT_TABLE.0[code] != 0 {
+            codes[SLOT_TABLE.0[code] as usize - 1] = code as u32;
+        }
+        code += 1;
+    }
+    codes
+};
+
+/// The slot of `code`, if a [`PathCycles`] can hold it.
+#[inline]
+fn slot(code: u32) -> Option<usize> {
+    if code == USER_FRAME {
+        return Some(PATHS - 1);
+    }
+    match SLOTS.get(code as usize) {
+        Some(&s) if s > 0 => Some(s as usize - 1),
+        _ => None,
+    }
+}
+
+/// Cycles per packed kprof path: one counter for each code [`charge_path`]
+/// produces, the top-level [`Phase::Lock`] bucket and [`USER_FRAME`], in
+/// a fixed array. It iterates in packed-code order and keeps an entry once
+/// added, even at 0 cycles, so it reads and encodes exactly like the
+/// `BTreeMap<u32, u64>` it replaces — without allocating.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathCycles {
+    /// Bit `s` is set once slot `s` has an entry.
+    present: u64,
+    cycles: [u64; PATHS],
+}
+
+impl Default for PathCycles {
+    fn default() -> Self {
+        PathCycles {
+            present: 0,
+            cycles: [0; PATHS],
+        }
+    }
+}
+
+impl PathCycles {
+    /// Add `cycles` to `code`'s entry, creating it if absent.
+    ///
+    /// # Panics
+    /// If `code` is not a code [`charge_path`] produces, [`Phase::Lock`]
+    /// or [`USER_FRAME`].
+    #[inline]
+    pub fn add(&mut self, code: u32, cycles: u64) {
+        let s = slot(code).expect("a charge path, the lock bucket or the user frame");
+        self.present |= 1 << s;
+        self.cycles[s] += cycles;
+    }
+
+    /// `code`'s cycles, if it has an entry.
+    pub fn get(&self, code: u32) -> Option<u64> {
+        let s = slot(code)?;
+        (self.present >> s & 1 == 1).then(|| self.cycles[s])
+    }
+
+    /// Every entry as `(code, cycles)`, in ascending code order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0..PATHS)
+            .filter(|&s| self.present >> s & 1 == 1)
+            .map(|s| (CODES[s], self.cycles[s]))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.present.count_ones() as usize
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.present == 0
+    }
+
+    /// Cycles across all entries.
+    pub fn total(&self) -> u64 {
+        self.cycles.iter().sum()
+    }
+
+    /// Add every entry of `other` into this table.
+    pub fn merge(&mut self, other: &PathCycles) {
+        self.present |= other.present;
+        for (a, b) in self.cycles.iter_mut().zip(&other.cycles) {
+            *a += b;
+        }
+    }
 }
 
 /// The profiler state held by the kernel. Fed by the probe stream; when
@@ -152,7 +292,7 @@ pub struct Kprof {
     idle: u64,
     /// Self-cycles per kernel path (packed path → cycles; 0 = kernel
     /// root's own work, e.g. native-thread bodies).
-    kernel: BTreeMap<u32, u64>,
+    kernel: PathCycles,
     /// Event-raised → next-dispatch latency, for every timer-woken thread.
     preempt_latency: Histogram,
 }
@@ -209,7 +349,7 @@ impl Kprof {
 
     #[inline]
     fn add_kernel(&mut self, code: u32, cycles: Cycles) {
-        *self.kernel.entry(code).or_insert(0) += cycles;
+        self.kernel.add(code, cycles);
     }
 
     /// The preemption-latency histogram (event-raised → next-dispatch
@@ -230,7 +370,7 @@ impl Kprof {
 
     /// Total kernel cycles across all kernel paths.
     pub fn kernel_cycles(&self) -> u64 {
-        self.kernel.values().sum()
+        self.kernel.total()
     }
 
     /// Total attributed cycles: user + idle + kernel. With `kprof` on for
@@ -247,7 +387,7 @@ impl Kprof {
         for (i, p) in path.iter().enumerate() {
             code |= (*p as u32) << (4 * i);
         }
-        self.kernel.get(&code).copied().unwrap_or(0)
+        self.kernel.get(code).unwrap_or(0)
     }
 
     /// The flat profile: (collapsed path, self cycles) for every node with
@@ -261,7 +401,7 @@ impl Kprof {
         if self.idle > 0 {
             out.push(("idle".to_string(), self.idle));
         }
-        for (&code, &c) in &self.kernel {
+        for (code, c) in self.kernel.iter() {
             out.push((path_name(code), c));
         }
         out
@@ -282,8 +422,8 @@ impl Kprof {
         let mask = ((1u64 << (4 * depth.min(MAX_DEPTH))) - 1) as u32;
         self.kernel
             .iter()
-            .filter(|(&k, _)| k & mask == code)
-            .map(|(_, &c)| c)
+            .filter(|&(k, _)| k & mask == code)
+            .map(|(_, c)| c)
             .sum()
     }
 
@@ -316,11 +456,11 @@ impl Kprof {
             "{:<40} {:>14} {:>14} {:>6.1}\n",
             "kernel",
             kt,
-            self.kernel.get(&0).copied().unwrap_or(0),
+            self.kernel.get(0).unwrap_or(0),
             pct(kt)
         ));
-        // Children in depth-first order: the BTreeMap's packed-code order
-        // is not DFS, so walk explicitly.
+        // Children in depth-first order: the table's packed-code order is
+        // not DFS, so walk explicitly.
         self.tree_children(0, 0, 1, &mut out, total);
         out
     }
@@ -333,7 +473,7 @@ impl Kprof {
             if inc == 0 {
                 continue;
             }
-            let slf = self.kernel.get(&child).copied().unwrap_or(0);
+            let slf = self.kernel.get(child).unwrap_or(0);
             let name = format!(
                 "{}{}",
                 "  ".repeat(indent),
@@ -356,6 +496,34 @@ impl Kprof {
 // --- krec snapshot support ------------------------------------------------
 
 use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
+
+// Encoded as the `BTreeMap<u32, u64>` it replaces: a count, then each
+// `(code, cycles)` in ascending code order. Decoding rejects a code the
+// table cannot hold and codes out of order.
+impl Snap for PathCycles {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (code, cycles) in self.iter() {
+            w.u32(code);
+            w.u64(cycles);
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.usize()?;
+        let mut t = PathCycles::default();
+        let mut last = None;
+        for _ in 0..n {
+            let s = slot(r.u32()?).ok_or(SnapError::Invalid("kprof path code"))?;
+            if last.is_some_and(|l| s <= l) {
+                return Err(SnapError::Invalid("kprof path order"));
+            }
+            last = Some(s);
+            t.present |= 1 << s;
+            t.cycles[s] = r.u64()?;
+        }
+        Ok(t)
+    }
+}
 
 impl Kprof {
     /// Write the profiler's snapshot section. `kspan` records whether the
@@ -503,6 +671,58 @@ mod tests {
             .expect("dispatch line");
         assert!(dispatch_line.contains("100"), "{rep}");
         assert!(rep.lines().any(|l| l.trim_start().starts_with("mem_fill")));
+    }
+
+    #[test]
+    fn path_slots_are_every_charge_path_in_code_order() {
+        let mut codes = vec![Phase::Lock as u32, USER_FRAME];
+        for dispatch in [false, true] {
+            for rollback in [false, true] {
+                codes.push(charge_path(dispatch, None, rollback));
+                for n in 1..=9 {
+                    codes.push(charge_path(dispatch, Phase::from_nibble(n), rollback));
+                }
+            }
+        }
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), 34);
+        assert_eq!(CODES[..], codes[..]);
+        for (s, &code) in CODES.iter().enumerate() {
+            assert_eq!(slot(code), Some(s));
+        }
+        // Neither a nibble past the phases, a fourth level, nor a nested
+        // lock section is a charge path.
+        for code in [0xa, 0x8 << 4 | 3, 0x1993, 0x1000, u32::MAX - 1] {
+            assert_eq!(slot(code), None, "{code:#x}");
+        }
+    }
+
+    #[test]
+    fn path_table_restore_rejects_foreign_codes_and_disorder() {
+        let encode = |pairs: &[(u32, u64)]| {
+            let mut w = SnapWriter::new();
+            w.usize(pairs.len());
+            for &(code, cycles) in pairs {
+                w.u32(code);
+                w.u64(cycles);
+            }
+            w.finish()
+        };
+        let restore = |bytes: &[u8]| PathCycles::restore(&mut SnapReader::new(bytes));
+        let ok = encode(&[(0x3, 4), (0x93, 0)]);
+        let t = restore(&ok).unwrap();
+        let mut w = SnapWriter::new();
+        t.snap(&mut w);
+        assert_eq!(w.finish(), ok);
+        for (pairs, why) in [
+            (&[(0xa, 1)][..], "kprof path code"),
+            (&[(u32::MAX - 1, 1)], "kprof path code"),
+            (&[(0x93, 1), (0x3, 1)], "kprof path order"),
+            (&[(0x3, 1), (0x3, 1)], "kprof path order"),
+        ] {
+            assert_eq!(restore(&encode(pairs)).err(), Some(SnapError::Invalid(why)));
+        }
     }
 
     #[test]

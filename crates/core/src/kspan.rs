@@ -40,13 +40,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 
 use fluke_api::Sys;
 use fluke_arch::cost::Cycles;
 
 use crate::ids::ThreadId;
 use crate::kernel::LockClass;
-use crate::kprof;
+use crate::kprof::{self, PathCycles};
 use crate::probe::{Probe, ProbeCx};
 use crate::thread::{ObjKind, WaitClass, WaitReason};
 use crate::trace::Histogram;
@@ -107,7 +108,79 @@ struct Span {
     blocked_other: Cycles,
     /// Per-request flamegraph: packed `kprof` path → cycles charged while
     /// this span was on CPU ([`USER_FRAME`] for user re-execution).
-    frames: BTreeMap<u32, u64>,
+    frames: PathCycles,
+}
+
+/// Values keyed by thread, held in a vector indexed by the thread's arena
+/// index: a lookup is one bounds check, and an entry is written in place.
+/// Thread indices are arena slots, so the vector never outgrows the
+/// thread arena. It reads and encodes like the `BTreeMap<ThreadId, T>` it
+/// replaces: entries in ascending thread order.
+#[derive(Debug)]
+pub struct ByThread<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for ByThread<T> {
+    fn default() -> Self {
+        ByThread { slots: Vec::new() }
+    }
+}
+
+impl<T> ByThread<T> {
+    /// `t`'s entry.
+    pub fn get(&self, t: ThreadId) -> Option<&T> {
+        self.slots.get(t.0 as usize)?.as_ref()
+    }
+
+    /// `t`'s entry, mutably.
+    pub fn get_mut(&mut self, t: ThreadId) -> Option<&mut T> {
+        self.slots.get_mut(t.0 as usize)?.as_mut()
+    }
+
+    /// Whether `t` has an entry.
+    pub fn contains_key(&self, t: ThreadId) -> bool {
+        self.get(t).is_some()
+    }
+
+    /// Set `t`'s entry, returning the one it replaces.
+    pub fn insert(&mut self, t: ThreadId, v: T) -> Option<T> {
+        let i = t.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i].replace(v)
+    }
+
+    /// Remove and return `t`'s entry.
+    pub fn remove(&mut self, t: ThreadId) -> Option<T> {
+        self.slots.get_mut(t.0 as usize)?.take()
+    }
+
+    /// Every entry, in ascending thread order.
+    pub fn iter(&self) -> impl Iterator<Item = (ThreadId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| Some((ThreadId(i as u32), v.as_ref()?)))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.slots.iter().filter(|v| v.is_some()).count()
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.slots.iter().all(Option::is_none)
+    }
+}
+
+impl<T> Index<&ThreadId> for ByThread<T> {
+    type Output = T;
+    fn index(&self, t: &ThreadId) -> &T {
+        self.get(*t).expect("no entry for the thread")
+    }
 }
 
 /// One completed request's critical-path record.
@@ -218,17 +291,21 @@ pub struct Kspan {
     next_req: u64,
     next_span: u64,
     /// At most one active span per thread.
-    active: BTreeMap<ThreadId, Span>,
+    active: ByThread<Span>,
     /// Spans ever attached to each request (adoption-rule bookkeeping:
     /// a reply edge must not re-root a request that already contains an
-    /// adopted span, even one that has since closed).
+    /// adopted span, even one that has since closed). Kept only for
+    /// requests that have adopted a span; a request without an entry has
+    /// one. Only a parentless root is ever adopted, so a request's size
+    /// is read only while its root is open: the entry goes when the root
+    /// closes or aborts, leaving at most one entry per open span.
     req_sizes: BTreeMap<u64, u64>,
     completed: Vec<RequestRecord>,
     aborted: u64,
     flows: Vec<FlowEdge>,
     contention: BTreeMap<Contended, ObjectContention>,
     class_hist: BTreeMap<&'static str, Histogram>,
-    class_frames: BTreeMap<&'static str, BTreeMap<u32, u64>>,
+    class_frames: BTreeMap<&'static str, PathCycles>,
     overall: Histogram,
 }
 
@@ -297,14 +374,13 @@ impl Kspan {
     /// Open a span for `t` at kernel entry, unless one is already active
     /// (a restart or in-kernel re-entry continues the existing request).
     fn open(&mut self, t: ThreadId, class: &'static str, now: Cycles) {
-        if self.active.contains_key(&t) {
+        if self.active.contains_key(t) {
             return;
         }
         let req = self.next_req;
         self.next_req += 1;
         let id = self.next_span;
         self.next_span += 1;
-        self.req_sizes.insert(req, 1);
         self.active.insert(
             t,
             Span {
@@ -321,7 +397,7 @@ impl Kspan {
                 blocked_ipc: 0,
                 lock_wait: 0,
                 blocked_other: 0,
-                frames: BTreeMap::new(),
+                frames: PathCycles::default(),
             },
         );
     }
@@ -329,7 +405,7 @@ impl Kspan {
     /// Close the current segment at `now` (clamped so timestamps
     /// telescope even under cross-CPU clock skew) and open `new`.
     fn transition(&mut self, t: ThreadId, new: Seg, now: Cycles) {
-        let Some(span) = self.active.get_mut(&t) else {
+        let Some(span) = self.active.get_mut(t) else {
             return;
         };
         let clamped = now.max(span.seg_start);
@@ -371,9 +447,10 @@ impl Kspan {
     fn close(&mut self, t: ThreadId, now: Cycles) {
         // Roll the final segment; the replacement kind is irrelevant.
         self.transition(t, Seg::OnCpu, now);
-        let Some(span) = self.active.remove(&t) else {
+        let Some(span) = self.active.remove(t) else {
             return;
         };
+        self.drop_root(&span);
         let rec = RequestRecord {
             req: span.req,
             span: span.id,
@@ -394,18 +471,27 @@ impl Kspan {
             .entry(span.class)
             .or_default()
             .record(rec.e2e());
-        let cf = self.class_frames.entry(span.class).or_default();
-        for (code, cycles) in span.frames {
-            *cf.entry(code).or_insert(0) += cycles;
-        }
+        self.class_frames
+            .entry(span.class)
+            .or_default()
+            .merge(&span.frames);
         self.completed.push(rec);
     }
 
     /// The thread was halted or had wholesale new state installed
     /// mid-request: terminate its span cleanly without recording it.
     fn abort(&mut self, t: ThreadId) {
-        if self.active.remove(&t).is_some() {
+        if let Some(span) = self.active.remove(t) {
+            self.drop_root(&span);
             self.aborted += 1;
+        }
+    }
+
+    /// A span ended: if it was its request's root, no stitch can read
+    /// the request's size again, so drop it.
+    fn drop_root(&mut self, span: &Span) {
+        if span.parent.is_none() {
+            self.req_sizes.remove(&span.req);
         }
     }
 
@@ -414,15 +500,12 @@ impl Kspan {
     /// surcharge cycles under the lock path (also carved into the lock
     /// bucket at segment close).
     fn charge(&mut self, t: ThreadId, path: u32, base: Cycles, lock_extra: Cycles) {
-        let Some(span) = self.active.get_mut(&t) else {
+        let Some(span) = self.active.get_mut(t) else {
             return;
         };
-        *span.frames.entry(path).or_insert(0) += base;
+        span.frames.add(path, base);
         if lock_extra > 0 {
-            *span
-                .frames
-                .entry(crate::kprof::Phase::Lock as u32)
-                .or_insert(0) += lock_extra;
+            span.frames.add(kprof::Phase::Lock as u32, lock_extra);
             span.seg_lock += lock_extra;
         }
     }
@@ -433,8 +516,8 @@ impl Kspan {
         if cycles == 0 {
             return;
         }
-        if let Some(span) = self.active.get_mut(&t) {
-            *span.frames.entry(USER_FRAME).or_insert(0) += cycles;
+        if let Some(span) = self.active.get_mut(t) {
+            span.frames.add(USER_FRAME, cycles);
         }
     }
 
@@ -447,7 +530,7 @@ impl Kspan {
         e.wait_cycles += cycles;
         e.waits += 1;
         if let Some(t) = t {
-            if let Some(span) = self.active.get_mut(&t) {
+            if let Some(span) = self.active.get_mut(t) {
                 span.seg_lock += cycles;
             }
         }
@@ -462,11 +545,12 @@ impl Kspan {
         if from == to {
             return;
         }
-        let Some((from_id, from_req)) = self.active.get(&from).map(|s| (s.id, s.req)) else {
+        let Some((from_id, from_req, from_parent)) =
+            self.active.get(from).map(|s| (s.id, s.req, s.parent))
+        else {
             return;
         };
-        let Some((to_id, to_req, to_parent)) =
-            self.active.get(&to).map(|s| (s.id, s.req, s.parent))
+        let Some((to_id, to_req, to_parent)) = self.active.get(to).map(|s| (s.id, s.req, s.parent))
         else {
             return;
         };
@@ -481,11 +565,18 @@ impl Kspan {
             && to_req != from_req
             && self.req_sizes.get(&to_req).copied().unwrap_or(1) == 1;
         if adoptable {
-            let span = self.active.get_mut(&to).expect("looked up above");
+            let span = self.active.get_mut(to).expect("looked up above");
             span.req = from_req;
             span.parent = Some(from_id);
             self.req_sizes.remove(&to_req);
-            *self.req_sizes.entry(from_req).or_insert(0) += 1;
+            // Count the adoption only while the sender's root is open: a
+            // parentless sender is that root, and an adopted sender's
+            // request has an entry exactly while its root is open.
+            if from_parent.is_none() {
+                *self.req_sizes.entry(from_req).or_insert(1) += 1;
+            } else if let Some(n) = self.req_sizes.get_mut(&from_req) {
+                *n += 1;
+            }
         }
     }
 
@@ -528,7 +619,7 @@ impl Kspan {
 
     /// Collapsed flamegraph per request class: packed `kprof` path (or
     /// [`USER_FRAME`]) → cycles, aggregated over completed requests.
-    pub fn class_frames(&self) -> &BTreeMap<&'static str, BTreeMap<u32, u64>> {
+    pub fn class_frames(&self) -> &BTreeMap<&'static str, PathCycles> {
         &self.class_frames
     }
 
@@ -633,20 +724,77 @@ fn restore_class_map<V: Snap>(
     Ok(out)
 }
 
-snap_struct!(Kspan {
-    enabled,
-    next_req,
-    next_span,
-    active,
-    req_sizes,
-    completed,
-    aborted,
-    flows,
-    contention,
-    class_hist => (snap_class_map, restore_class_map),
-    class_frames => (snap_class_map, restore_class_map),
-    overall,
-});
+impl<T: Snap> ByThread<T> {
+    /// Encode as a `BTreeMap<ThreadId, T>`: the entry count, then each
+    /// `(thread, value)` in ascending thread order.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (t, v) in self.iter() {
+            t.snap(w);
+            v.snap(w);
+        }
+    }
+
+    /// Decode what [`ByThread::snap`] wrote. `threads` bounds the thread
+    /// indices (the thread arena's slot count): an index at or past it,
+    /// or out of ascending order, is rejected before the vector grows.
+    pub fn restore(r: &mut SnapReader<'_>, threads: usize) -> Result<Self, SnapError> {
+        let n = r.usize()?;
+        let mut out = ByThread::default();
+        for _ in 0..n {
+            let t = ThreadId::restore(r)?;
+            if t.0 as usize >= threads {
+                return Err(SnapError::Invalid("kspan span past the thread arena"));
+            }
+            if (t.0 as usize) < out.slots.len() {
+                return Err(SnapError::Invalid("kspan spans out of thread order"));
+            }
+            out.insert(t, T::restore(r)?);
+        }
+        Ok(out)
+    }
+}
+
+impl Kspan {
+    /// Write kspan's snapshot section.
+    pub(crate) fn snap_image(&self, w: &mut SnapWriter) {
+        self.enabled.snap(w);
+        self.next_req.snap(w);
+        self.next_span.snap(w);
+        self.active.snap(w);
+        self.req_sizes.snap(w);
+        self.completed.snap(w);
+        self.aborted.snap(w);
+        self.flows.snap(w);
+        self.contention.snap(w);
+        snap_class_map(&self.class_hist, w);
+        snap_class_map(&self.class_frames, w);
+        self.overall.snap(w);
+    }
+
+    /// Read a section written by [`Kspan::snap_image`]. `threads` is the
+    /// restored thread arena's slot count, which bounds every live span's
+    /// thread.
+    pub(crate) fn restore_image(
+        r: &mut SnapReader<'_>,
+        threads: usize,
+    ) -> Result<Kspan, SnapError> {
+        Ok(Kspan {
+            enabled: Snap::restore(r)?,
+            next_req: Snap::restore(r)?,
+            next_span: Snap::restore(r)?,
+            active: ByThread::restore(r, threads)?,
+            req_sizes: Snap::restore(r)?,
+            completed: Snap::restore(r)?,
+            aborted: Snap::restore(r)?,
+            flows: Snap::restore(r)?,
+            contention: Snap::restore(r)?,
+            class_hist: restore_class_map(r)?,
+            class_frames: restore_class_map(r)?,
+            overall: Snap::restore(r)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -860,6 +1008,76 @@ mod tests {
     }
 
     #[test]
+    fn adoption_bookkeeping_is_bounded_by_the_open_spans() {
+        let (client, server) = (T0, T1);
+        let enter = |thread| Probe::Enter {
+            thread,
+            restarting: false,
+        };
+        let exit = |thread| Probe::Exit {
+            thread,
+            code: fluke_api::ErrorCode::Success,
+            closes: true,
+        };
+        let message = |from, to| Probe::IpcMessage {
+            thread: from,
+            flow: Some((from, to)),
+        };
+        // The server waits for the first request.
+        let mut probes = vec![enter(server)];
+        for _ in 0..1000 {
+            probes.extend([
+                enter(client),
+                // The request adopts the server's waiting span ...
+                message(client, server),
+                exit(server),
+                // ... and the reply, sent from the server's next call,
+                // does not re-root the client's request.
+                enter(server),
+                message(server, client),
+                exit(client),
+            ]);
+        }
+        let mut k = Kspan::new(true);
+        let mut most = 0;
+        for p in &probes {
+            feed(&mut k, std::slice::from_ref(p));
+            assert!(k.req_sizes.len() <= k.open_count(), "{:?}", k.req_sizes);
+            most = most.max(k.req_sizes.len());
+        }
+        assert_eq!(most, 1);
+        assert_eq!(k.flows().len(), 2000);
+        assert_eq!(k.completed().len(), 2000);
+        let adopted: Vec<_> = k
+            .completed()
+            .iter()
+            .filter(|r| r.parent.is_some())
+            .collect();
+        assert_eq!(adopted.len(), 1000);
+        assert!(adopted.iter().all(|r| r.thread == server));
+        assert_eq!(k.open_count(), 1);
+    }
+
+    #[test]
+    fn one_span_entries_of_older_images_still_read_as_one_span() {
+        // Images written before the bookkeeping was bounded hold a
+        // `(req, 1)` entry for every request ever opened.
+        let mut k = Kspan::new(true);
+        k.open(T0, "sys_null", 0);
+        k.open(T1, "sys_null", 5);
+        k.req_sizes.extend([(0, 1), (1, 1)]);
+        let mut w = SnapWriter::new();
+        k.snap_image(&mut w);
+        let bytes = w.finish();
+        let mut k = Kspan::restore_image(&mut SnapReader::new(&bytes), 2).unwrap();
+        k.stitch(T0, T1, 20);
+        assert_eq!(k.active[&T1].parent, Some(k.active[&T0].id));
+        assert_eq!(k.req_sizes, BTreeMap::from([(0, 2)]));
+        k.close(T0, 30);
+        assert!(k.req_sizes.is_empty());
+    }
+
+    #[test]
     fn abort_terminates_without_recording() {
         let mut k = Kspan::new(true);
         k.open(T0, "sys_thread_sleep", 0);
@@ -898,8 +1116,8 @@ mod tests {
         k.charge(T0, 0x1, 20, 0);
         k.close(T0, 60);
         let frames = &k.class_frames()["sys_null"];
-        assert_eq!(frames[&0x1], 50);
-        assert_eq!(frames[&USER_FRAME], 5);
+        assert_eq!(frames.get(0x1), Some(50));
+        assert_eq!(frames.get(USER_FRAME), Some(5));
         assert_eq!(k.class_histograms()["sys_null"].count(), 2);
         assert_eq!(k.e2e_histogram().count(), 2);
         assert_eq!(frame_name(USER_FRAME), "user");
