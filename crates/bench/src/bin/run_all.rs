@@ -1,5 +1,6 @@
-//! Regenerate every table and figure of the paper in one run
-//! (set FLUKE_BENCH_SCALE=quick for a fast smoke pass).
+//! Regenerate every table of the paper in one run (set
+//! FLUKE_BENCH_SCALE=quick for a fast smoke pass). The observability
+//! sweep has its own bin and gate: `kmon`.
 use fluke_bench::Scale;
 
 fn main() {
@@ -10,7 +11,4 @@ fn main() {
     println!("{}\n", fluke_bench::table5::render(scale));
     println!("{}\n", fluke_bench::table6::render(scale));
     println!("{}\n", fluke_bench::table7::render());
-    println!("=== Observability (kmon) ===\n");
-    let obs = fluke_bench::observability::run_sweep(scale);
-    println!("{}", fluke_bench::observability::render_dashboard(&obs));
 }

@@ -259,11 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn marks_appear_in_projection_and_compat_log() {
+    fn marks_appear_in_projection() {
         let k = traced_run();
-        // The legacy Vec<u32> view still works…
-        assert_eq!(k.stats.trace_log, vec![42]);
-        // …and the structured projection carries the same mark.
         let uv = k.trace.user_visible();
         assert!(uv.values().any(|evs| evs.contains(&UserVisible::Mark(42))));
     }

@@ -35,10 +35,6 @@ fn oracle(workload: SweepWorkload, label: &str) {
             fk.stats.objects_created, bk.stats.objects_created,
             "{name}: objects created"
         );
-        assert_eq!(
-            fk.stats.trace_log, bk.stats.trace_log,
-            "{name}: guest trace log"
-        );
     }
 }
 

@@ -190,7 +190,7 @@ pub struct Config {
     /// dispatch boundaries into a bounded host-side ring and logs every
     /// `run` call as a digest-bracketed window — all outside the simulated
     /// machine, so runs are bit-identical either way (the golden-digest
-    /// proof obligation, pinned by `krec_zero_perturbation.rs`).
+    /// proof obligation, pinned by the `observer_matrix` test).
     pub krec: Option<crate::krec::KrecConfig>,
 }
 
@@ -456,16 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn big_lock_knob_defaults_off() {
-        for c in Config::all_five() {
-            assert!(!c.big_lock, "{}", c.label);
-        }
-        let c = Config::process_pp().with_cpus(4).with_big_lock(true);
-        assert!(c.big_lock);
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn per_thread_memory_matches_table_7() {
         assert_eq!(Config::process_np().per_thread_kmem(), 4096);
         assert_eq!(
@@ -476,68 +466,58 @@ mod tests {
     }
 
     #[test]
-    fn tracing_knob_defaults_off_and_validates() {
-        let c = Config::process_np();
-        assert!(!c.trace.enabled);
-        let c = c.with_tracing(1 << 12);
-        assert!(c.trace.enabled);
+    fn knobs_default_off_and_validate_armed() {
+        use crate::kfault::KfaultKind;
+        use crate::krec::KrecConfig;
+        // (knob, whether `c` has it armed, arm it)
+        type Knob = (&'static str, fn(&Config) -> bool, fn(Config) -> Config);
+        let knobs: [Knob; 7] = [
+            ("trace", |c| c.trace.enabled, |c| c.with_tracing(1 << 12)),
+            ("kprof", |c| c.kprof, Config::with_kprof),
+            ("kspan", |c| c.kspan, Config::with_kspan),
+            ("flowcheck", |c| c.flowcheck, Config::with_flowcheck),
+            (
+                "kfault",
+                |c| c.kfault.is_some(),
+                |c| c.with_kfault(KfaultConfig::count_sites(KfaultKind::Transient)),
+            ),
+            (
+                "krec",
+                |c| c.krec.is_some(),
+                |c| c.with_krec(KrecConfig::every_sites(3)),
+            ),
+            (
+                "big_lock",
+                |c| c.big_lock,
+                |c| c.with_cpus(4).with_big_lock(true),
+            ),
+        ];
+        for c in Config::all_five() {
+            for (knob, armed, arm) in knobs {
+                assert!(!armed(&c), "{}: {knob} on by default", c.label);
+                let on = arm(c.clone());
+                assert!(armed(&on), "{}: {knob} did not arm", c.label);
+                on.validate().unwrap();
+            }
+        }
+        // Every knob armed at once still validates.
+        let all = knobs.iter().fold(Config::interrupt_pp(), |c, k| k.2(c));
+        assert!(knobs.iter().all(|k| k.1(&all)));
+        all.validate().unwrap();
+
+        let c = Config::process_np().with_tracing(1 << 12);
         assert_eq!(c.trace.ring_capacity, 1 << 12);
-        c.validate().unwrap();
         let mut bad = Config::process_np().with_tracing(0);
-        assert!(bad.validate().is_err());
+        assert_eq!(bad.validate(), Err(ConfigError::ZeroCapacityTraceRing));
         bad.trace.enabled = false;
         bad.validate().unwrap();
-    }
 
-    #[test]
-    fn kprof_knob_defaults_off() {
-        for c in Config::all_five() {
-            assert!(!c.kprof, "{}", c.label);
-        }
-        let c = Config::process_np().with_kprof();
-        assert!(c.kprof);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn kspan_knob_defaults_off() {
-        for c in Config::all_five() {
-            assert!(!c.kspan, "{}", c.label);
-        }
-        let c = Config::process_np().with_kspan();
-        assert!(c.kspan);
-        c.validate().unwrap();
-        let c = Config::interrupt_pp().with_kprof().with_kspan();
-        assert!(c.kprof && c.kspan);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn flowcheck_knob_defaults_off() {
-        for c in Config::all_five() {
-            assert!(!c.flowcheck, "{}", c.label);
-        }
-        let c = Config::process_np().with_flowcheck();
-        assert!(c.flowcheck);
-        c.validate().unwrap();
-        let c = Config::interrupt_pp().with_flowcheck().with_kprof();
-        assert!(c.flowcheck && c.kprof);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn kfault_knob_defaults_off() {
-        use crate::kfault::KfaultKind;
-        for c in Config::all_five() {
-            assert!(c.kfault.is_none(), "{}", c.label);
-        }
         let c = Config::process_np().with_kfault(KfaultConfig::at(KfaultKind::Timer, 3));
         assert_eq!(c.kfault, Some(KfaultConfig::at(KfaultKind::Timer, 3)));
         c.validate().unwrap();
         let c =
             Config::interrupt_pp().with_kfault(KfaultConfig::count_sites(KfaultKind::Transient));
         assert_eq!(c.kfault.unwrap().site, KfaultConfig::COUNT_ONLY);
-        c.validate().unwrap();
     }
 
     #[test]

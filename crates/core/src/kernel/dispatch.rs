@@ -102,7 +102,6 @@ handlers! {
     }
     fn h_sys_trace(k, cx) {
         let v = cx.arg(k, ARG_VAL);
-        k.stats.trace_log.push(v);
         k.probe(Probe::Mark {
             thread: cx.t,
             value: v,
@@ -1260,7 +1259,6 @@ impl Kernel {
                 // binding (modeled as a trace entry).
                 0x101 => {
                     let value = 0x1000_0000 | cx.arg(self, ARG_VAL);
-                    self.stats.trace_log.push(value);
                     self.probe(Probe::Mark { thread: t, value });
                 }
                 _ => return Err(Self::fail(ErrorCode::InvalidArg)),

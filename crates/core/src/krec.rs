@@ -68,7 +68,7 @@ use crate::kfault::{KfaultConfig, KfaultKind};
 /// Snapshot file magic: `"FKSN"`.
 pub const SNAP_MAGIC: [u8; 4] = *b"FKSN";
 /// Current snapshot format version.
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit offset basis (shared with the sweep harnesses' digests).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -171,8 +171,6 @@ pub struct Stats {
     pub threads_created: u64,
     /// Kernel objects created over the run.
     pub objects_created: u64,
-    /// Values logged by the `sys_trace` entrypoint (a test/debug channel).
-    pub trace_log: Vec<u32>,
     /// Software-TLB counters retired from destroyed spaces (host-side
     /// observability only; live spaces' counters are added on top by
     /// [`crate::Kernel::tlb_stats`]).
@@ -769,7 +767,6 @@ snap_struct!(Stats {
     thread_kmem_peak,
     threads_created,
     objects_created,
-    trace_log,
     tlb_retired,
     sched_pushes,
     sched_steals,
