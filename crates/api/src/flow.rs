@@ -1,8 +1,9 @@
 //! Syscall-flow integrity graph, derived statically from [`SYSCALLS`].
 //!
 //! In the spirit of SFIP (syscall-flow-integrity protection), the
-//! [`SysDesc`] table already fixes, for every entrypoint, everything a
-//! lifecycle checker needs to know *without reading handler code*:
+//! [`SysDesc`](crate::SysDesc) table already fixes, for every entrypoint,
+//! everything a lifecycle checker needs to know *without reading handler
+//! code*:
 //!
 //! * which entrypoints create, destroy, rename, or merely use an object
 //!   of each of the nine primitive types ([`flow_op`]) — the common-op

@@ -30,7 +30,7 @@
 //! Whole-recording check:
 //!   --verify         replay every snapshot to its epoch end
 
-use fluke_bench::krec_sweep::KrecWorkload;
+use fluke_bench::krec_sweep::{KrecWorkload, ALL_WORKLOADS};
 use fluke_bench::trace_export::{chrome_trace, cycle_window};
 use fluke_core::{
     trace_suffix_digest, Config, Kernel, KrecConfig, Recording, ReplayError, Replayer, Snap,
@@ -238,7 +238,9 @@ fn main() {
         match a.as_str() {
             "--workload" => {
                 let w = next_or(&mut args, "--workload");
-                workload = KrecWorkload::parse(&w)
+                workload = ALL_WORKLOADS
+                    .into_iter()
+                    .find(|k| k.label() == w)
                     .unwrap_or_else(|| die(&format!("unknown workload {w:?}")));
             }
             "--config" => cfg = parse_config(&next_or(&mut args, "--config")),

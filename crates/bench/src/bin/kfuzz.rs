@@ -22,9 +22,9 @@
 //! defaults): `FLUKE_KFUZZ_CASES=lots` exits 2 naming the knob and the
 //! rejected value.
 
-use fluke_bench::gate::{Gate, USAGE_EXIT};
+use fluke_bench::gate::{env_knob, Gate, USAGE_EXIT};
 use fluke_bench::kfuzz::{self, tier_label, FuzzReport, ALL_TIERS};
-use fluke_core::kfuzz::{corpus_from_text, corpus_to_text, env_knob, FuzzProgram};
+use fluke_core::kfuzz::{corpus_from_text, corpus_to_text, FuzzProgram};
 
 const GATE: Gate = Gate {
     bin: "kfuzz",

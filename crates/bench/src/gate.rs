@@ -12,6 +12,9 @@
 //!   directory — a missing or malformed file is exit 2 with a message —
 //!   then runs, writes a report only if `--out` names one (a check never
 //!   overwrites the committed file), and exits 1 if any gate failed.
+//!
+//! [`env_knob`] reads a numeric `FLUKE_*` environment knob (`kfuzz`'s
+//! seed and case budget) with a structured error for bad input.
 
 use std::collections::BTreeSet;
 
@@ -243,6 +246,83 @@ pub fn differences(committed: &Json, fresh: &Json) -> Vec<String> {
     out
 }
 
+/// A malformed or out-of-range `FLUKE_*` environment knob.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KnobError {
+    /// The value is not a decimal unsigned integer.
+    Invalid {
+        /// The knob's environment-variable name.
+        name: &'static str,
+        /// The raw value found.
+        raw: String,
+    },
+    /// The value parsed but lies outside the supported range.
+    OutOfRange {
+        /// The knob's environment-variable name.
+        name: &'static str,
+        /// The parsed value.
+        value: u64,
+        /// Smallest accepted value.
+        lo: u64,
+        /// Largest accepted value.
+        hi: u64,
+    },
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KnobError::Invalid { name, raw } => {
+                write!(f, "{name}={raw:?}: not a decimal unsigned integer")
+            }
+            KnobError::OutOfRange {
+                name,
+                value,
+                lo,
+                hi,
+            } => write!(f, "{name}={value}: outside supported range {lo}..={hi}"),
+        }
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+/// [`env_knob`] on a raw value (`None` when unset), so tests can
+/// exercise it without mutating the process environment. Bad input is a
+/// structured error, never a silent default and never a panic.
+fn parse_knob(
+    name: &'static str,
+    raw: Option<&str>,
+    default: u64,
+    lo: u64,
+    hi: u64,
+) -> Result<u64, KnobError> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    let value = raw.trim().parse::<u64>().map_err(|_| KnobError::Invalid {
+        name,
+        raw: raw.to_string(),
+    })?;
+    if value < lo || value > hi {
+        return Err(KnobError::OutOfRange {
+            name,
+            value,
+            lo,
+            hi,
+        });
+    }
+    Ok(value)
+}
+
+/// Read the environment knob `name`: unset yields `default`; anything
+/// else must be a decimal unsigned integer inside `[lo, hi]`, or it is a
+/// structured [`KnobError`].
+pub fn env_knob(name: &'static str, default: u64, lo: u64, hi: u64) -> Result<u64, KnobError> {
+    let raw = std::env::var(name).ok();
+    parse_knob(name, raw.as_deref(), default, lo, hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,5 +436,49 @@ mod tests {
         assert!(scale_run(&doc, Scale::Paper).is_err());
         assert_eq!(scale_run(&quick, Scale::Quick), Ok(&quick));
         assert!(scale_run(&quick, Scale::Paper).is_err());
+    }
+
+    #[test]
+    fn knob_parsing_is_structured() {
+        assert_eq!(parse_knob("K", None, 64, 1, 4096), Ok(64));
+        assert_eq!(parse_knob("K", Some("128"), 64, 1, 4096), Ok(128));
+        assert_eq!(parse_knob("K", Some(" 7 "), 64, 1, 4096), Ok(7));
+        assert_eq!(
+            parse_knob("K", Some("banana"), 64, 1, 4096),
+            Err(KnobError::Invalid {
+                name: "K",
+                raw: "banana".into()
+            })
+        );
+        assert_eq!(
+            parse_knob("K", Some(""), 64, 1, 4096),
+            Err(KnobError::Invalid {
+                name: "K",
+                raw: "".into()
+            })
+        );
+        assert_eq!(
+            parse_knob("K", Some("0"), 64, 1, 4096),
+            Err(KnobError::OutOfRange {
+                name: "K",
+                value: 0,
+                lo: 1,
+                hi: 4096
+            })
+        );
+        assert_eq!(
+            parse_knob("K", Some("-3"), 64, 1, 4096),
+            Err(KnobError::Invalid {
+                name: "K",
+                raw: "-3".into()
+            })
+        );
+        let msg = parse_knob("FLUKE_KFUZZ_CASES", Some("99999"), 64, 1, 4096)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            msg.contains("FLUKE_KFUZZ_CASES") && msg.contains("4096"),
+            "{msg}"
+        );
     }
 }

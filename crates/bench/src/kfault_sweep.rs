@@ -7,7 +7,8 @@
 //! which must be outcome-identical to a disarmed run — to obtain the
 //! **golden outcome** and the size of the site space. It then re-runs the
 //! workload once per site (all of them, or an evenly strided sample under
-//! a CI budget), injecting exactly one perturbation, and compares the
+//! a site budget, which the unit tests use), injecting exactly one
+//! perturbation, and compares the
 //! user-visible [`Outcome`] — projection, each main thread's final
 //! registers, and an FNV-64 memory digest — against the golden run. The
 //! *raw* trace tail after an injection legitimately differs — injections

@@ -24,15 +24,14 @@
 
 use std::time::Instant;
 
-use fluke_api::abi::{ARG_COUNT, ARG_SBUF, ARG_VAL, PORT_BUF_MSGS, SUBMIT_OP_RECV};
-use fluke_api::{ObjType, Sys};
-use fluke_arch::{Assembler, Cond, Reg};
+use fluke_api::abi::PORT_BUF_MSGS;
+use fluke_api::ObjType;
 use fluke_core::{trace_suffix_digest, Config, Kernel, KrecConfig, Outcome, Replayer};
 use fluke_json::Json;
 use fluke_user::proc::{run_to_halt, ChildProc};
-use fluke_user::FlukeAsm;
 
 use crate::kfault_sweep::{outcome, SweepWorkload};
+use crate::server_consolidation::{ring_images, submit_loop};
 
 /// The workloads the snapshot sweep records and replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,16 +62,6 @@ impl KrecWorkload {
             KrecWorkload::IpcEcho => "ipc-echo",
             KrecWorkload::Checkpoint => "checkpoint",
             KrecWorkload::Server => "submit-ring",
-        }
-    }
-
-    /// Parse a label (for the bin's workload filter).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ipc-echo" | "echo" => Some(KrecWorkload::IpcEcho),
-            "checkpoint" => Some(KrecWorkload::Checkpoint),
-            "submit-ring" | "server" => Some(KrecWorkload::Server),
-            _ => None,
         }
     }
 
@@ -114,16 +103,7 @@ fn run_submit_ring(cfg: &Config) -> Result<(Outcome, Kernel), String> {
         k.try_write_mem(p.space, sbufs + i * LEN, &pat)
             .map_err(|e| e.to_string())?;
     }
-    let mut simg = Vec::new();
-    let mut rimg = Vec::new();
-    for i in 0..n {
-        for w in [0u32, h_port, sbufs + i * LEN, LEN] {
-            simg.extend(w.to_le_bytes());
-        }
-        for w in [SUBMIT_OP_RECV, h_port, rbufs + i * LEN, LEN] {
-            rimg.extend(w.to_le_bytes());
-        }
-    }
+    let (simg, rimg) = ring_images(h_port, sbufs, rbufs, LEN);
     k.try_write_mem(p.space, sring, &simg)
         .map_err(|e| e.to_string())?;
     k.try_write_mem(p.space, rring, &rimg)
@@ -131,12 +111,12 @@ fn run_submit_ring(cfg: &Config) -> Result<(Outcome, Kernel), String> {
 
     let pt = p.start(
         &mut k,
-        submit_ring_loop("krec-producer", sring, BATCHES).finish(),
+        submit_loop("krec-producer", sring, BATCHES).finish(),
         8,
     );
     let ct = p.start(
         &mut k,
-        submit_ring_loop("krec-consumer", rring, BATCHES).finish(),
+        submit_loop("krec-consumer", rring, BATCHES).finish(),
         8,
     );
     if !run_to_halt(&mut k, &[pt, ct], 5_000_000_000) {
@@ -145,32 +125,6 @@ fn run_submit_ring(cfg: &Config) -> Result<(Outcome, Kernel), String> {
     let regions = [(p.space, rbufs, n * LEN)];
     let out = outcome(&mut k, &[pt, ct], &regions, &[])?;
     Ok((out, k))
-}
-
-/// Batch loop over one pre-written ring: submit, and if a descriptor
-/// spilled (`edx < 16`), advance the cursor and resubmit the rest (same
-/// shape as the server-consolidation benchmark's loop).
-fn submit_ring_loop(name: &str, ring: u32, batches: u32) -> Assembler {
-    let n = PORT_BUF_MSGS as u32;
-    let mut a = Assembler::new(name);
-    a.movi(Reg::Esp, batches);
-    a.label("batch");
-    a.movi(ARG_VAL, 0);
-    a.label("again");
-    a.movi(ARG_SBUF, ring);
-    a.movi(ARG_COUNT, n);
-    a.sys(Sys::IpcSubmit);
-    a.cmpi(ARG_VAL, n);
-    a.jcc(Cond::Eq, "done");
-    a.addi(ARG_VAL, 1);
-    a.cmpi(ARG_VAL, n);
-    a.jcc(Cond::Ne, "again");
-    a.label("done");
-    a.subi(Reg::Esp, 1);
-    a.cmpi(Reg::Esp, 0);
-    a.jcc(Cond::Ne, "batch");
-    a.halt();
-    a
 }
 
 /// One replay divergence: the reproducer is the enclosing report's
@@ -387,12 +341,17 @@ pub fn sweep(w: KrecWorkload, cfg: &Config, stride: u64) -> Result<KrecReport, S
     })
 }
 
-/// Sweep `workloads` × all four comparable configurations.
-pub fn sweep_all(workloads: &[KrecWorkload], stride: u64) -> Result<Vec<KrecReport>, String> {
+/// The committed sweep's snapshot stride: every 5th dispatch-boundary
+/// site.
+pub const STRIDE: u64 = 5;
+
+/// Sweep every workload × all four comparable configurations at
+/// [`STRIDE`].
+pub fn sweep_all() -> Result<Vec<KrecReport>, String> {
     let mut out = Vec::new();
-    for &w in workloads {
+    for w in ALL_WORKLOADS {
         for cfg in Config::comparable() {
-            out.push(sweep(w, &cfg, stride)?);
+            out.push(sweep(w, &cfg, STRIDE)?);
         }
     }
     Ok(out)

@@ -53,7 +53,7 @@ pub struct MemSample {
 pub struct Observed {
     /// The finished kernel, with `kprof` attribution complete.
     pub kernel: Kernel,
-    /// Memory gauges sampled every [`SAMPLE_PERIOD`] cycles.
+    /// Memory gauges sampled every 1M cycles (5ms at 200MHz).
     pub mem_series: Vec<MemSample>,
 }
 
@@ -184,7 +184,7 @@ pub fn render_dashboard(runs: &[Observed]) -> String {
                 "kspan: {} requests completed, {} aborted, {} flow edges; e2e {}\n",
                 k.kspan.completed().len(),
                 k.kspan.aborted(),
-                k.kspan.flows().len(),
+                k.kspan.flows(),
                 hist_line(k.kspan.e2e_histogram()),
             ));
             out.push_str("per-class e2e latency:\n");
@@ -331,7 +331,7 @@ pub fn to_json(scale: Scale, runs: &[Observed]) -> Json {
             let mut sp = Json::obj();
             sp.set("requests", Json::from_u64(k.kspan.completed().len() as u64));
             sp.set("aborted", Json::from_u64(k.kspan.aborted()));
-            sp.set("flows", Json::from_u64(k.kspan.flows().len() as u64));
+            sp.set("flows", Json::from_u64(k.kspan.flows()));
             sp.set("e2e", hist_json(k.kspan.e2e_histogram()));
             let mut classes = Json::obj();
             for (class, h) in k.kspan.class_histograms() {

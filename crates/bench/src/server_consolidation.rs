@@ -216,19 +216,9 @@ pub fn run_echo(batched: bool, msgs: u64) -> Kernel {
     }
 
     let (producer, consumer) = if batched {
-        // Pre-written rings: 16 send descriptors, 16 receive descriptors.
         // Result words preserve the low opflag bits, so the rings are
         // reused by every batch without guest rewrites.
-        let mut simg = Vec::new();
-        let mut rimg = Vec::new();
-        for i in 0..PORT_BUF_MSGS as u32 {
-            for w in [0u32, h_port, sbufs + i * LEN, LEN] {
-                simg.extend(w.to_le_bytes());
-            }
-            for w in [SUBMIT_OP_RECV, h_port, rbufs + i * LEN, LEN] {
-                rimg.extend(w.to_le_bytes());
-            }
-        }
+        let (simg, rimg) = ring_images(h_port, sbufs, rbufs, LEN);
         k.write_mem(p.space, sring, &simg);
         k.write_mem(p.space, rring, &rimg);
         let batches = (msgs / PORT_BUF_MSGS as u64) as u32;
@@ -275,6 +265,23 @@ pub fn run_echo(batched: bool, msgs: u64) -> Kernel {
     k
 }
 
+/// The two pre-written rings of a one-port echo: 16 send descriptors
+/// over `len`-byte buffers from `sbufs`, and 16 receive descriptors into
+/// `len`-byte buffers from `rbufs`.
+pub(crate) fn ring_images(port: u32, sbufs: u32, rbufs: u32, len: u32) -> (Vec<u8>, Vec<u8>) {
+    let mut simg = Vec::new();
+    let mut rimg = Vec::new();
+    for i in 0..PORT_BUF_MSGS as u32 {
+        for w in [0u32, port, sbufs + i * len, len] {
+            simg.extend(w.to_le_bytes());
+        }
+        for w in [SUBMIT_OP_RECV, port, rbufs + i * len, len] {
+            rimg.extend(w.to_le_bytes());
+        }
+    }
+    (simg, rimg)
+}
+
 /// A batch loop over one pre-written 16-descriptor ring: submit, and when
 /// a descriptor spilled to its plain equivalent (the syscall returned
 /// with `edx < 16`, the spilled slot completed through the plain path),
@@ -307,7 +314,7 @@ pub(crate) fn submit_loop(name: &str, ring: u32, batches: u32) -> Assembler {
 // ---------------------------------------------------------------------------
 
 /// Run the consolidated-server workload: `conns` connection ports across
-/// [`FRONTENDS`] frontend spaces, `workers` threads per backend shard,
+/// two frontend spaces, `workers` threads per backend shard,
 /// every client sweeping its connection range `rounds` times. Returns
 /// the finished kernel and the total request count.
 pub fn run_server(conns: usize, workers: usize, rounds: u32) -> (Kernel, u64) {

@@ -2,7 +2,7 @@
 //! in `chrome://tracing` / Perfetto) and a plain-text summary table.
 
 use fluke_arch::cycles_to_us;
-use fluke_core::{FlowEdge, TraceEvent, TraceRecord, Tracer};
+use fluke_core::{TraceEvent, TraceRecord, Tracer};
 use fluke_json::Json;
 
 use crate::report::TextTable;
@@ -63,16 +63,7 @@ fn event_json(ev: &TraceEvent) -> Json {
 /// microsecond timestamps, one "thread" lane per simulated CPU. The
 /// output is deterministic (sorted object keys, merged record order).
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    chrome_trace_with_flows(records, &[])
-}
-
-/// Like [`chrome_trace`], but additionally renders `kspan` causal flow
-/// edges as paired Chrome flow events: a `ph:"s"` (flow start) at the
-/// sender and a `ph:"f"` (flow finish, binding point `e`) at the
-/// receiver, joined by a shared `id`. Perfetto draws these as arrows
-/// between the two threads' lanes.
-pub fn chrome_trace_with_flows(records: &[TraceRecord], flows: &[FlowEdge]) -> String {
-    let mut events = Vec::with_capacity(records.len() + 2 * flows.len());
+    let mut events = Vec::with_capacity(records.len());
     for rec in records {
         let mut e = Json::obj();
         e.set("name", Json::Str(rec.event.name().to_string()));
@@ -83,29 +74,6 @@ pub fn chrome_trace_with_flows(records: &[TraceRecord], flows: &[FlowEdge]) -> S
         e.set("tid", Json::from_u32(rec.cpu));
         e.set("args", event_json(&rec.event));
         events.push(e);
-    }
-    for (i, f) in flows.iter().enumerate() {
-        let ts = cycles_to_us(f.at);
-        for (ph, thread, span) in [
-            ("s", f.from_thread, f.from_span),
-            ("f", f.to_thread, f.to_span),
-        ] {
-            let mut e = Json::obj();
-            e.set("name", Json::Str("ipc_flow".to_string()));
-            e.set("cat", Json::Str("kspan".to_string()));
-            e.set("ph", Json::Str(ph.to_string()));
-            if ph == "f" {
-                e.set("bp", Json::Str("e".to_string()));
-            }
-            e.set("id", Json::from_u64(i as u64));
-            e.set("ts", Json::Num(ts));
-            e.set("pid", Json::from_u32(0));
-            e.set("tid", Json::from_u32(thread.0));
-            let mut args = Json::obj();
-            args.set("span", Json::from_u64(span));
-            e.set("args", args);
-            events.push(e);
-        }
     }
     let mut root = Json::obj();
     root.set("traceEvents", Json::Arr(events));
@@ -129,14 +97,9 @@ pub fn cycle_window(
         .collect()
 }
 
-/// A plain-text per-event-type summary of everything a tracer holds,
-/// including drop accounting.
-pub fn text_summary(tracer: &Tracer) -> String {
-    summarize(&tracer.merged(), tracer.dropped_total(), None, None)
-}
-
-/// Like [`text_summary`], but restricted to a [`cycle_window`]. Drop
-/// accounting still covers the whole recording (drops have no timestamp).
+/// A plain-text per-event-type summary of what a tracer holds within a
+/// [`cycle_window`] (`None, None` for everything). Drop accounting still
+/// covers the whole recording (drops have no timestamp).
 pub fn text_summary_window(tracer: &Tracer, since: Option<u64>, until: Option<u64>) -> String {
     let w = cycle_window(&tracer.merged(), since, until);
     summarize(&w, tracer.dropped_total(), since, until)
@@ -225,34 +188,9 @@ mod tests {
     }
 
     #[test]
-    fn flow_events_pair_start_and_finish() {
-        use fluke_core::ThreadId;
-        let k = traced_run();
-        let flows = [FlowEdge {
-            from_span: 1,
-            to_span: 2,
-            from_thread: ThreadId(3),
-            to_thread: ThreadId(4),
-            at: 1000,
-        }];
-        let s = chrome_trace_with_flows(&k.trace.merged(), &flows);
-        let parsed = fluke_json::Json::parse(&s).expect("valid JSON");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(Json::items)
-            .expect("traceEvents array");
-        let phases: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("ipc_flow"))
-            .filter_map(|e| e.get("ph").and_then(Json::as_str))
-            .collect();
-        assert_eq!(phases, ["s", "f"], "one start + one finish per edge");
-    }
-
-    #[test]
     fn text_summary_counts_events() {
         let k = traced_run();
-        let s = text_summary(&k.trace);
+        let s = text_summary_window(&k.trace, None, None);
         assert!(s.contains("syscall_enter"));
         assert!(s.contains("halt"));
         assert!(s.contains("0 dropped"));

@@ -13,9 +13,8 @@
 //! halt ([`fluke_core::Tracer::user_visible`]), compared with
 //! [`fluke_core::oracle::diff_user_visible`].
 
-use fluke_api::SysClass;
 use fluke_core::krec::{fnv64, FNV_OFFSET};
-use fluke_core::{Config, Histogram, Kernel, TraceEvent};
+use fluke_core::{Config, Kernel, TraceEvent};
 use fluke_workloads::common::{try_finish, WorkloadRun};
 use fluke_workloads::flukeperf;
 
@@ -111,84 +110,6 @@ pub fn trace_digest(k: &Kernel) -> (u64, u64) {
     (h, merged.len() as u64)
 }
 
-/// Enter-to-exit latency of completed system calls, one histogram per
-/// Table-1 class — the bucketing the paper's Table 6 uses to compare
-/// entrypoint costs (Trivial vs Short vs Long vs Multi-stage).
-///
-/// Latency is wall-clock simulated time from the `syscall_enter` event
-/// to the matching `syscall_exit`, so it includes blocking, restarts and
-/// rollbacks — the user-observable cost of the call, not just the
-/// in-kernel path length.
-#[derive(Default)]
-pub struct ClassLatency {
-    per_class: [Histogram; 4],
-}
-
-impl ClassLatency {
-    /// The latency histogram for one Table-1 class.
-    pub fn class(&self, c: SysClass) -> &Histogram {
-        &self.per_class[c.index()]
-    }
-
-    /// Completed calls across all classes.
-    pub fn total_count(&self) -> u64 {
-        self.per_class.iter().map(Histogram::count).sum()
-    }
-
-    /// One summary line per class: count, mean, p95, max (cycles).
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for c in SysClass::ALL {
-            let h = self.class(c);
-            out.push_str(&format!(
-                "{:<12} n={:<8} mean={:<10.1} p95={:<8} max={}\n",
-                c.name(),
-                h.count(),
-                h.mean(),
-                h.percentile(95.0),
-                h.max()
-            ));
-        }
-        out
-    }
-}
-
-/// Bucket every completed syscall's enter-to-exit latency by the
-/// [`SysClass`] stamped on the ktrace events.
-///
-/// Calls whose entrypoint number was invalid carry no class and are
-/// skipped; a call still in flight when the trace ends never exits and
-/// is likewise skipped. Restart re-dispatches (`syscall_restart`) do
-/// not reopen a call — latency spans the original user-issued entry.
-pub fn syscall_latency_by_class(k: &Kernel) -> ClassLatency {
-    assert_eq!(
-        k.trace.dropped_total(),
-        0,
-        "trace overflowed; grow the ring"
-    );
-    let mut open: std::collections::BTreeMap<u32, (u64, SysClass)> =
-        std::collections::BTreeMap::new();
-    let mut out = ClassLatency::default();
-    for rec in k.trace.merged() {
-        match rec.event {
-            TraceEvent::SyscallEnter {
-                thread,
-                class: Some(c),
-                ..
-            } => {
-                open.insert(thread.0, (rec.at, c));
-            }
-            TraceEvent::SyscallExit { thread, .. } => {
-                if let Some((at, c)) = open.remove(&thread.0) {
-                    out.per_class[c.index()].record(rec.at - at);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,41 +138,6 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("; ")
         );
-    }
-
-    #[test]
-    fn class_latency_buckets_flukeperf_syscalls() {
-        let k = run_traced_flukeperf(Config::process_np(), Scale::Quick);
-        let lat = syscall_latency_by_class(&k);
-        // flukeperf's phases issue calls of every class but Long: nulls
-        // and yields (Trivial), object lifecycle (Short), and IPC
-        // send/receive (Multi-stage).
-        for c in [SysClass::Trivial, SysClass::Short, SysClass::MultiStage] {
-            assert!(
-                !lat.class(c).is_empty(),
-                "expected {} calls in flukeperf\n{}",
-                c.name(),
-                lat.summary()
-            );
-        }
-        // Every completed call landed in exactly one bucket: the class
-        // totals add up to the number of exit events with a valid class.
-        let exits = k
-            .trace
-            .merged()
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::SyscallExit { .. }))
-            .count() as u64;
-        assert!(lat.total_count() <= exits);
-        assert!(lat.total_count() > 0);
-        // Blocking classes cannot be cheaper than the trivial floor.
-        if !lat.class(SysClass::MultiStage).is_empty() {
-            assert!(
-                lat.class(SysClass::MultiStage).max() >= lat.class(SysClass::Trivial).min(),
-                "{}",
-                lat.summary()
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared `--check` gate of the five gated bench binaries, driven
 //! through the real executables: a missing or malformed committed report
 //! is a structured exit-2 error raised before any work is done, and a run
-//! without `--check` never reads the `--out` file. The sweep binaries'
-//! malformed `FLUKE_*` knobs exit 2 the same way.
+//! without `--check` never reads the `--out` file. `kfuzz`'s malformed
+//! `FLUKE_KFUZZ_*` knobs exit 2 the same way.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -97,29 +97,26 @@ fn run_without_check_never_reads_the_out_file() {
     );
 }
 
-/// The sweep binaries read their `FLUKE_*` knobs through one parser: a
-/// malformed or out-of-range number, or an unknown workload name, is an
-/// exit-2 error naming the knob, never a silent default.
+/// `kfuzz` reads its numeric knobs through `gate::env_knob`: a malformed
+/// or out-of-range value is an exit-2 error naming the knob, raised
+/// before any campaign runs, never a silent default.
 #[test]
-fn malformed_sweep_knobs_exit_2() {
+fn malformed_kfuzz_knobs_exit_2() {
     let dir = workdir("knobs");
-    let (kfault, krec) = (
-        env!("CARGO_BIN_EXE_kfault_sweep"),
-        env!("CARGO_BIN_EXE_krec_sweep"),
-    );
+    let (bin, _) = GATED[4];
     let cases = [
-        (kfault, "FLUKE_KFAULT_SITES", "lots"),
-        (kfault, "FLUKE_KFAULT_SITES", "-1"),
-        (kfault, "FLUKE_KFAULT_WORKLOADS", "nope"),
-        (krec, "FLUKE_KREC_STRIDE", "five"),
-        (krec, "FLUKE_KREC_STRIDE", "0"),
+        ("FLUKE_KFUZZ_CASES", "lots"),
+        ("FLUKE_KFUZZ_CASES", "0"),
+        ("FLUKE_KFUZZ_SEED", "x"),
     ];
-    for (bin, knob, value) in cases {
+    for (knob, value) in cases {
         let out = Command::new(bin)
             .current_dir(&dir)
+            .env_remove("FLUKE_KFUZZ_SEED")
+            .env_remove("FLUKE_KFUZZ_CASES")
             .env(knob, value)
             .output()
-            .expect("spawn sweep binary");
-        assert_exit_2(&out, knob, &format!("{bin} {knob}={value}"));
+            .expect("spawn kfuzz");
+        assert_exit_2(&out, knob, &format!("kfuzz {knob}={value}"));
     }
 }

@@ -62,7 +62,7 @@ fn echo_requests_never_block_outside_ipc() {
                 r.req, r.class
             );
         }
-        assert!(!k.kspan.flows().is_empty(), "{label}: no flow edges");
+        assert!(k.kspan.flows() > 0, "{label}: no flow edges");
         assert!(
             k.kspan.completed().iter().any(|r| r.parent.is_some()),
             "{label}: no request spans a client/server pair"

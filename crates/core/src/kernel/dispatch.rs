@@ -1231,13 +1231,7 @@ impl Kernel {
                 .threads
                 .get(t.0)
                 .and_then(|x| x.space)
-                .map(|s| {
-                    self.spaces
-                        .get(s.0)
-                        .map(|x| x.kernel_alias)
-                        .unwrap_or(false)
-                })
-                .unwrap_or(false);
+                .is_some_and(|s| self.is_kernel_alias(s));
             if !alias {
                 return Err(Self::fail(ErrorCode::PermissionDenied));
             }

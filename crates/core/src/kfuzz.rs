@@ -73,87 +73,6 @@ pub fn findings_seen() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Env-knob parsing (structured errors, no silent defaults)
-// ---------------------------------------------------------------------------
-
-/// A malformed or out-of-range `FLUKE_*` environment knob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KnobError {
-    /// The value is not a decimal unsigned integer.
-    Invalid {
-        /// The knob's environment-variable name.
-        name: &'static str,
-        /// The raw value found.
-        raw: String,
-    },
-    /// The value parsed but lies outside the supported range.
-    OutOfRange {
-        /// The knob's environment-variable name.
-        name: &'static str,
-        /// The parsed value.
-        value: u64,
-        /// Smallest accepted value.
-        lo: u64,
-        /// Largest accepted value.
-        hi: u64,
-    },
-}
-
-impl std::fmt::Display for KnobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KnobError::Invalid { name, raw } => {
-                write!(f, "{name}={raw:?}: not a decimal unsigned integer")
-            }
-            KnobError::OutOfRange {
-                name,
-                value,
-                lo,
-                hi,
-            } => write!(f, "{name}={value}: outside supported range {lo}..={hi}"),
-        }
-    }
-}
-
-impl std::error::Error for KnobError {}
-
-/// Parse one knob value: `None` (unset) yields `default`; anything else
-/// must be a decimal unsigned integer inside `[lo, hi]`. Malformed or
-/// out-of-range input is a structured [`KnobError`] — never a silent
-/// default, never a panic. Pure (takes the raw string), so tests can
-/// exercise it without mutating the process environment.
-pub fn parse_knob(
-    name: &'static str,
-    raw: Option<&str>,
-    default: u64,
-    lo: u64,
-    hi: u64,
-) -> Result<u64, KnobError> {
-    let Some(raw) = raw else {
-        return Ok(default);
-    };
-    let value = raw.trim().parse::<u64>().map_err(|_| KnobError::Invalid {
-        name,
-        raw: raw.to_string(),
-    })?;
-    if value < lo || value > hi {
-        return Err(KnobError::OutOfRange {
-            name,
-            value,
-            lo,
-            hi,
-        });
-    }
-    Ok(value)
-}
-
-/// Read and parse an environment knob via [`parse_knob`].
-pub fn env_knob(name: &'static str, default: u64, lo: u64, hi: u64) -> Result<u64, KnobError> {
-    let raw = std::env::var(name).ok();
-    parse_knob(name, raw.as_deref(), default, lo, hi)
-}
-
-// ---------------------------------------------------------------------------
 // Deterministic RNG (splitmix64)
 // ---------------------------------------------------------------------------
 
@@ -1051,50 +970,6 @@ pub fn campaign(
 mod tests {
     use super::*;
     use fluke_api::SysClass;
-
-    #[test]
-    fn knob_parsing_is_structured() {
-        assert_eq!(parse_knob("K", None, 64, 1, 4096), Ok(64));
-        assert_eq!(parse_knob("K", Some("128"), 64, 1, 4096), Ok(128));
-        assert_eq!(parse_knob("K", Some(" 7 "), 64, 1, 4096), Ok(7));
-        assert_eq!(
-            parse_knob("K", Some("banana"), 64, 1, 4096),
-            Err(KnobError::Invalid {
-                name: "K",
-                raw: "banana".into()
-            })
-        );
-        assert_eq!(
-            parse_knob("K", Some(""), 64, 1, 4096),
-            Err(KnobError::Invalid {
-                name: "K",
-                raw: "".into()
-            })
-        );
-        assert_eq!(
-            parse_knob("K", Some("0"), 64, 1, 4096),
-            Err(KnobError::OutOfRange {
-                name: "K",
-                value: 0,
-                lo: 1,
-                hi: 4096
-            })
-        );
-        assert_eq!(
-            parse_knob("K", Some("-3"), 64, 1, 4096),
-            Err(KnobError::Invalid {
-                name: "K",
-                raw: "-3".into()
-            })
-        );
-        let msg = parse_knob("FLUKE_KFUZZ_CASES", Some("99999"), 64, 1, 4096)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            msg.contains("FLUKE_KFUZZ_CASES") && msg.contains("4096"),
-            "{msg}"
-        );
-    }
 
     #[test]
     fn corpus_round_trips() {

@@ -227,22 +227,6 @@ impl RequestRecord {
     }
 }
 
-/// A causal flow edge: an IPC message transfer completed from the
-/// sender's span to the receiver's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEdge {
-    /// The sending span.
-    pub from_span: u64,
-    /// The receiving span.
-    pub to_span: u64,
-    /// The sending thread.
-    pub from_thread: ThreadId,
-    /// The receiving thread.
-    pub to_thread: ThreadId,
-    /// Simulated time of the transfer completion.
-    pub at: Cycles,
-}
-
 /// What one contention entry counts: waits on one object, or waits on
 /// one kernel-lock class. Displays as `conn_206` or `klock`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -302,7 +286,7 @@ pub struct Kspan {
     req_sizes: BTreeMap<u64, u64>,
     completed: Vec<RequestRecord>,
     aborted: u64,
-    flows: Vec<FlowEdge>,
+    flows: u64,
     contention: BTreeMap<Contended, ObjectContention>,
     class_hist: BTreeMap<&'static str, Histogram>,
     class_frames: BTreeMap<&'static str, PathCycles>,
@@ -365,7 +349,7 @@ impl Kspan {
             Probe::IpcMessage {
                 flow: Some((from, to)),
                 ..
-            } => self.stitch(from, to, cx.at),
+            } => self.stitch(from, to),
             Probe::Abort { thread } | Probe::Halt { thread } => self.abort(thread),
             _ => {}
         }
@@ -537,11 +521,11 @@ impl Kspan {
     }
 
     /// An IPC message transfer completed from `from`'s span to `to`'s:
-    /// record the flow edge, and adopt the receiver into the sender's
+    /// count the flow edge, and adopt the receiver into the sender's
     /// request when the receiver's span is a parentless root of a
     /// request no other span has ever joined (so reply edges never
     /// re-root the originating request).
-    fn stitch(&mut self, from: ThreadId, to: ThreadId, now: Cycles) {
+    fn stitch(&mut self, from: ThreadId, to: ThreadId) {
         if from == to {
             return;
         }
@@ -550,17 +534,10 @@ impl Kspan {
         else {
             return;
         };
-        let Some((to_id, to_req, to_parent)) = self.active.get(to).map(|s| (s.id, s.req, s.parent))
-        else {
+        let Some((to_req, to_parent)) = self.active.get(to).map(|s| (s.req, s.parent)) else {
             return;
         };
-        self.flows.push(FlowEdge {
-            from_span: from_id,
-            to_span: to_id,
-            from_thread: from,
-            to_thread: to,
-            at: now,
-        });
+        self.flows += 1;
         let adoptable = to_parent.is_none()
             && to_req != from_req
             && self.req_sizes.get(&to_req).copied().unwrap_or(1) == 1;
@@ -601,9 +578,10 @@ impl Kspan {
         self.aborted
     }
 
-    /// All causal flow edges, in transfer-completion order.
-    pub fn flows(&self) -> &[FlowEdge] {
-        &self.flows
+    /// Number of causal flow edges: completed user-to-user message
+    /// transfers between two open spans.
+    pub fn flows(&self) -> u64 {
+        self.flows
     }
 
     /// Per-object contention: key (`mutex_3`, `conn_0`, `klock`, …) →
@@ -687,14 +665,6 @@ snap_struct!(RequestRecord {
     blocked_ipc,
     lock_wait,
     blocked_other,
-});
-
-snap_struct!(FlowEdge {
-    from_span,
-    to_span,
-    from_thread,
-    to_thread,
-    at,
 });
 
 snap_enum!(Contended {
@@ -878,7 +848,7 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(k.flows().len(), 1);
+        assert_eq!(k.flows(), 1);
         assert_eq!(
             k.completed().len(),
             1,
@@ -981,8 +951,8 @@ mod tests {
         k.open(T0, "sys_ipc_client_send", 0); // client request R0
         k.open(T1, "sys_ipc_wait_receive", 5); // server request R1
                                                // Request transfer client → server: server adopted.
-        k.stitch(T0, T1, 20);
-        assert_eq!(k.flows().len(), 1);
+        k.stitch(T0, T1);
+        assert_eq!(k.flows(), 1);
         let server = &k.active[&T1];
         let client = &k.active[&T0];
         assert_eq!(server.req, client.req);
@@ -992,8 +962,8 @@ mod tests {
         k.open(T1, "sys_ipc_send_wait_receive", 45);
         // Reply transfer server → client: the client's request already
         // contains the adopted server span, so it is NOT re-rooted.
-        k.stitch(T1, T0, 50);
-        assert_eq!(k.flows().len(), 2);
+        k.stitch(T1, T0);
+        assert_eq!(k.flows(), 2);
         let client = &k.active[&T0];
         assert!(client.parent.is_none());
         let reply_span = &k.active[&T1];
@@ -1001,7 +971,7 @@ mod tests {
         // Next client request adopts the server's waiting span.
         k.close(T0, 60);
         k.open(T0, "sys_ipc_client_send", 70);
-        k.stitch(T0, T1, 80);
+        k.stitch(T0, T1);
         let server = &k.active[&T1];
         let client = &k.active[&T0];
         assert_eq!(server.req, client.req);
@@ -1046,7 +1016,7 @@ mod tests {
             most = most.max(k.req_sizes.len());
         }
         assert_eq!(most, 1);
-        assert_eq!(k.flows().len(), 2000);
+        assert_eq!(k.flows(), 2000);
         assert_eq!(k.completed().len(), 2000);
         let adopted: Vec<_> = k
             .completed()
@@ -1056,6 +1026,23 @@ mod tests {
         assert_eq!(adopted.len(), 1000);
         assert!(adopted.iter().all(|r| r.thread == server));
         assert_eq!(k.open_count(), 1);
+    }
+
+    #[test]
+    fn flow_edges_are_counted_not_stored() {
+        let image_len = |messages: u64| {
+            let mut k = Kspan::new(true);
+            k.open(T0, "sys_ipc_client_send", 0);
+            k.open(T1, "sys_ipc_wait_receive", 5);
+            for _ in 0..messages {
+                k.stitch(T0, T1);
+            }
+            assert_eq!(k.flows(), messages);
+            let mut w = SnapWriter::new();
+            k.snap_image(&mut w);
+            w.finish().len()
+        };
+        assert_eq!(image_len(1), image_len(100));
     }
 
     #[test]
@@ -1070,7 +1057,7 @@ mod tests {
         k.snap_image(&mut w);
         let bytes = w.finish();
         let mut k = Kspan::restore_image(&mut SnapReader::new(&bytes), 2).unwrap();
-        k.stitch(T0, T1, 20);
+        k.stitch(T0, T1);
         assert_eq!(k.active[&T1].parent, Some(k.active[&T0].id));
         assert_eq!(k.req_sizes, BTreeMap::from([(0, 2)]));
         k.close(T0, 30);

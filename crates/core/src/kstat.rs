@@ -244,11 +244,6 @@ impl Stats {
     pub fn probe_percentile_us(&self, p: f64) -> f64 {
         cycles_to_us(self.probe_hist.percentile(p))
     }
-
-    /// Total busy (non-idle) cycles.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.user_cycles + self.kernel_cycles
-    }
 }
 
 /// Live kernel-memory gauges for thread management, computed from the
@@ -647,7 +642,7 @@ impl Kernel {
         if self.kspan.enabled {
             r.counter("kernel.kspan.requests", self.kspan.completed().len() as u64);
             r.counter("kernel.kspan.aborted", self.kspan.aborted());
-            r.counter("kernel.kspan.flows", self.kspan.flows().len() as u64);
+            r.counter("kernel.kspan.flows", self.kspan.flows());
             r.hist(
                 "kernel.kspan.e2e_cycles",
                 self.kspan.e2e_histogram().clone(),

@@ -59,7 +59,7 @@ pub use krec::{
     trace_suffix_digest, Divergence, Krec, KrecConfig, Recording, ReplayError, Replayer, RunWindow,
     Snap, SnapError, SnapReader, SnapWriter, Snapshot,
 };
-pub use kspan::{Contended, FlowEdge, Kspan, ObjectContention, RequestRecord, USER_FRAME};
+pub use kspan::{Contended, Kspan, ObjectContention, RequestRecord, USER_FRAME};
 pub use kstat::{
     FaultKind, FaultRecord, FaultSide, KstatEntry, KstatRegistry, KstatValue, MemGauges,
     PerSysCounts, Stats,

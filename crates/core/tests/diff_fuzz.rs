@@ -18,7 +18,7 @@
 //! operations (no trylock, no clock reads, no racy shared memory), so
 //! any divergence is a kernel bug — in dispatch, blocking, restart
 //! continuations, or the IPC pump — not an artifact of preemption
-//! timing. Case count scales with `FLUKE_FUZZ_CASES` (default 64).
+//! timing. The law test runs 64 seeded cases.
 
 use fluke_api::abi::{ARG_COUNT, ARG_RBUF, ARG_SBUF, ARG_VAL};
 use fluke_api::{ObjType, Sys};
@@ -288,21 +288,14 @@ fn run_case(cfg: Config, case: &Case) -> Outcome {
     .unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
-fn case_count() -> u64 {
-    // Structured parsing: a malformed or out-of-range knob fails the
-    // suite loudly instead of silently falling back to the default.
-    match fluke_core::kfuzz::env_knob("FLUKE_FUZZ_CASES", 64, 1, 1 << 20) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
-    }
-}
+/// Seeded cases the law test runs.
+const CASES: u64 = 64;
 
 /// The fuzzer law: every seeded program produces an identical
 /// user-visible outcome under all four configurations.
 #[test]
 fn seeded_programs_identical_across_models_and_preemption() {
-    let n = case_count();
-    for seed in 0..n {
+    for seed in 0..CASES {
         let case = Case::synth(0xD1FF_0000 ^ (seed * 0x9e37_79b9));
         let mut base: Option<(String, Outcome)> = None;
         for cfg in Config::comparable() {
