@@ -4,7 +4,8 @@
 //! without `--check` never reads the `--out` file. `kfuzz`'s malformed
 //! `FLUKE_KFUZZ_*` knobs exit 2 the same way.
 
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Each gated binary with its committed report name.
@@ -19,15 +20,31 @@ const GATED: [(&str, &str); 5] = [
     (env!("CARGO_BIN_EXE_kfuzz"), "BENCH_fuzz.json"),
 ];
 
-/// A fresh, empty working directory.
-fn workdir(tag: &str) -> PathBuf {
+/// A fresh, empty working directory, removed again when the guard drops,
+/// so a passing or a panicking test leaves nothing in the temp dir.
+struct WorkDir(PathBuf);
+
+impl Deref for WorkDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for WorkDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn workdir(tag: &str) -> WorkDir {
     let d = std::env::temp_dir().join(format!("fluke-gate-cli-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    WorkDir(d)
 }
 
-fn run(bin: &str, dir: &PathBuf, args: &[&str]) -> Output {
+fn run(bin: &str, dir: &Path, args: &[&str]) -> Output {
     Command::new(bin)
         .args(args)
         .current_dir(dir)
@@ -111,7 +128,7 @@ fn malformed_kfuzz_knobs_exit_2() {
     ];
     for (knob, value) in cases {
         let out = Command::new(bin)
-            .current_dir(&dir)
+            .current_dir(&*dir)
             .env_remove("FLUKE_KFUZZ_SEED")
             .env_remove("FLUKE_KFUZZ_CASES")
             .env(knob, value)

@@ -259,3 +259,31 @@ fn restore_rejects_run_queue_count_mismatch() {
         );
     }
 }
+
+/// Demand-zero frames survive the codec: an image still spends 4096
+/// bytes on every frame, but restoring it gives back host storage only
+/// for the frames the recorded kernel had written. For each quick krec
+/// workload, the finished kernel's image restores the same frame and
+/// written-frame counts as the kernel it came from, and so does a replay
+/// from the first recorded image whose epoch reaches the end of the run.
+#[test]
+fn restore_keeps_the_written_frame_count() {
+    let counts = |k: &Kernel| (k.phys().frame_count(), k.phys().resident_frames());
+    for w in fluke_bench::krec_sweep::ALL_WORKLOADS {
+        let what = w.label();
+        let armed = Config::process_np().with_krec(KrecConfig::every_sites(5).with_ring(4096));
+        let (_, mut k) = w.run(&armed).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let want = counts(&k);
+        assert!(want.1 < want.0, "{what}: no frame left unwritten");
+        let image = k.snapshot_bytes().expect("encode the finished kernel");
+        let restored = Kernel::restore_from(&image).expect("restore the finished kernel");
+        assert_eq!(counts(&restored), want, "{what}: finished image");
+        let rec = k.take_recording().expect("recorder armed");
+        let mut rp = Replayer::start(&rec, 0).unwrap_or_else(|e| panic!("{what}: {e}"));
+        rp.run_to_epoch_end()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        if rp.epoch_end() == rec.windows.len() {
+            assert_eq!(counts(&rp.kernel), want, "{what}: replay to the end");
+        }
+    }
+}

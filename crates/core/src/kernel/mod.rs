@@ -819,6 +819,12 @@ impl Kernel {
         }
     }
 
+    /// Physical memory, read-only: frame and residency counts for tests and
+    /// benchmarks (see [`PhysMem::resident_frames`]).
+    pub fn phys(&self) -> &PhysMem {
+        &self.phys
+    }
+
     /// Kernel-wide software-TLB counters: retired counters from destroyed
     /// spaces plus the live spaces' counters.
     pub fn tlb_stats(&self) -> crate::tlb::TlbStats {

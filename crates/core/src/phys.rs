@@ -5,13 +5,32 @@ use fluke_api::abi::PAGE_SIZE;
 /// A physical frame number.
 pub type FrameId = u32;
 
+/// The bytes of one frame.
+type Frame = [u8; PAGE_SIZE as usize];
+
+/// What every unwritten frame reads as.
+static ZERO_FRAME: Frame = [0; PAGE_SIZE as usize];
+
+/// Whether `data` is all zeros. An OR over the whole slice, not `all`: an
+/// early exit would stop the compiler from vectorizing the scan, and
+/// flukeperf's all-zero IPC copies then cost a byte loop each.
+#[inline]
+fn is_zero(data: &[u8]) -> bool {
+    data.iter().fold(0, |acc, &b| acc | b) == 0
+}
+
 /// Physical memory as a growable set of 4KB frames.
 ///
 /// Frames store real bytes so IPC transfers, checkpoints and workloads can
-/// be verified for data integrity, not just accounted for.
+/// be verified for data integrity, not just accounted for. Every frame is
+/// demand-zero: it reads as zeros and holds no host storage until a write
+/// first stores a nonzero byte in it (a write of zeros to an unwritten
+/// frame changes nothing, so it stays unwritten). A written frame keeps
+/// its storage; only a snapshot restore brings an all-zero frame back
+/// unwritten.
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    frames: Vec<Box<[u8; PAGE_SIZE as usize]>>,
+    frames: Vec<Option<Box<Frame>>>,
 }
 
 impl PhysMem {
@@ -20,9 +39,10 @@ impl PhysMem {
         PhysMem { frames: Vec::new() }
     }
 
-    /// Allocate a zeroed frame.
+    /// Allocate a frame that reads as zeros. It gets host storage only when
+    /// a write first stores a nonzero byte in it.
     pub fn alloc(&mut self) -> FrameId {
-        self.frames.push(Box::new([0; PAGE_SIZE as usize]));
+        self.frames.push(None);
         (self.frames.len() - 1) as FrameId
     }
 
@@ -31,16 +51,45 @@ impl PhysMem {
         self.frames.len()
     }
 
+    /// Number of written frames, those holding host storage: every frame
+    /// that has held a nonzero byte since it was allocated or restored.
+    pub fn resident_frames(&self) -> usize {
+        self.frames.iter().filter(|f| f.is_some()).count()
+    }
+
+    /// A frame's bytes, zeros if it was never written.
+    #[inline]
+    fn frame(&self, frame: FrameId) -> &Frame {
+        self.frames[frame as usize]
+            .as_deref()
+            .unwrap_or(&ZERO_FRAME)
+    }
+
+    /// A frame's bytes for a write of `data`, or `None` when the frame is
+    /// unwritten and `data` is all zeros: the write would change nothing,
+    /// so the frame stays unwritten. Otherwise an unwritten frame
+    /// materializes here.
+    #[inline]
+    fn frame_for(&mut self, frame: FrameId, data: &[u8]) -> Option<&mut Frame> {
+        let slot = &mut self.frames[frame as usize];
+        if slot.is_none() && is_zero(data) {
+            return None;
+        }
+        Some(slot.get_or_insert_with(|| Box::new([0; PAGE_SIZE as usize])))
+    }
+
     /// Read one byte from a frame.
     #[inline]
     pub fn read_u8(&self, frame: FrameId, offset: u32) -> u8 {
-        self.frames[frame as usize][offset as usize]
+        self.frame(frame)[offset as usize]
     }
 
     /// Write one byte to a frame.
     #[inline]
     pub fn write_u8(&mut self, frame: FrameId, offset: u32, val: u8) {
-        self.frames[frame as usize][offset as usize] = val;
+        if let Some(f) = self.frame_for(frame, &[val]) {
+            f[offset as usize] = val;
+        }
     }
 
     /// Read a slice out of one frame (must not cross the frame boundary).
@@ -52,7 +101,7 @@ impl PhysMem {
             out.len()
         );
         let off = offset as usize;
-        out.copy_from_slice(&self.frames[frame as usize][off..off + out.len()]);
+        out.copy_from_slice(&self.frame(frame)[off..off + out.len()]);
     }
 
     /// Write a slice into one frame (must not cross the frame boundary).
@@ -64,7 +113,9 @@ impl PhysMem {
             data.len()
         );
         let off = offset as usize;
-        self.frames[frame as usize][off..off + data.len()].copy_from_slice(data);
+        if let Some(f) = self.frame_for(frame, data) {
+            f[off..off + data.len()].copy_from_slice(data);
+        }
     }
 
     /// Copy `len` bytes between frames (ranges must not cross frame
@@ -72,7 +123,8 @@ impl PhysMem {
     ///
     /// Same-frame copies (aliased mappings) use `copy_within`, i.e. memmove
     /// semantics: overlapping ranges copy as if through an intermediate
-    /// buffer.
+    /// buffer. Like any write, a copy of zeros (from an unwritten frame, for
+    /// one) leaves an unwritten destination unwritten.
     pub fn copy(
         &mut self,
         src_frame: FrameId,
@@ -89,26 +141,31 @@ impl PhysMem {
             dst_off,
             len
         );
+        let src_range = src_off as usize..(src_off + len) as usize;
         if src_frame == dst_frame {
-            let f = &mut self.frames[src_frame as usize];
-            f.copy_within(src_off as usize..(src_off + len) as usize, dst_off as usize);
-        } else {
-            // Distinct frames: borrow both and copy directly, no staging
-            // buffer.
-            let (lo, hi) = (
-                src_frame.min(dst_frame) as usize,
-                src_frame.max(dst_frame) as usize,
-            );
-            let (head, tail) = self.frames.split_at_mut(hi);
-            let (a, b) = (&mut head[lo], &mut tail[0]);
-            let (src, dst) = if src_frame < dst_frame {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            dst[dst_off as usize..(dst_off + len) as usize]
-                .copy_from_slice(&src[src_off as usize..(src_off + len) as usize]);
+            if let Some(f) = &mut self.frames[src_frame as usize] {
+                f.copy_within(src_range, dst_off as usize);
+            }
+            return;
         }
+        // Distinct frames: lift the source out so the destination can be
+        // borrowed mutably, and copy directly with no staging buffer.
+        let dst_range = dst_off as usize..(dst_off + len) as usize;
+        let src = self.frames[src_frame as usize].take();
+        match &src {
+            Some(s) => {
+                if let Some(d) = self.frame_for(dst_frame, &s[src_range.clone()]) {
+                    d[dst_range].copy_from_slice(&s[src_range]);
+                }
+            }
+            // Known zeros: no scan, and an unwritten destination stays so.
+            None => {
+                if let Some(d) = &mut self.frames[dst_frame as usize] {
+                    d[dst_range].fill(0);
+                }
+            }
+        }
+        self.frames[src_frame as usize] = src;
     }
 }
 
@@ -116,11 +173,14 @@ impl PhysMem {
 
 use crate::krec::{Snap, SnapError, SnapReader, SnapWriter};
 
+/// Every frame encodes as its 4096 raw bytes, an unwritten one as zeros.
+/// An all-zero frame restores unwritten, so a restored kernel holds host
+/// storage only for frames with a nonzero byte.
 impl Snap for PhysMem {
     fn snap(&self, w: &mut SnapWriter) {
         w.usize(self.frames.len());
         for f in &self.frames {
-            w.raw(&f[..]);
+            w.raw(f.as_deref().unwrap_or(&ZERO_FRAME));
         }
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -128,9 +188,11 @@ impl Snap for PhysMem {
         let mut frames = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let bytes = r.take(PAGE_SIZE as usize)?;
-            let mut f = Box::new([0u8; PAGE_SIZE as usize]);
-            f.copy_from_slice(bytes);
-            frames.push(f);
+            frames.push((!is_zero(bytes)).then(|| {
+                let mut f = Box::new([0u8; PAGE_SIZE as usize]);
+                f.copy_from_slice(bytes);
+                f
+            }));
         }
         Ok(PhysMem { frames })
     }
@@ -147,6 +209,30 @@ mod tests {
         assert_eq!(p.read_u8(f, 0), 0);
         assert_eq!(p.read_u8(f, PAGE_SIZE - 1), 0);
         assert_eq!(p.frame_count(), 1);
+    }
+
+    #[test]
+    fn frames_materialize_on_first_write_only() {
+        let mut p = PhysMem::new();
+        let (a, b, c) = (p.alloc(), p.alloc(), p.alloc());
+        let mut out = [1u8; 4];
+        p.read_slice(a, 0, &mut out);
+        assert_eq!((out, p.resident_frames()), ([0; 4], 0));
+        // Zeros into an unwritten frame change nothing and leave it so.
+        p.copy(a, 0, b, 0, 4);
+        p.write_u8(c, 0, 0);
+        p.write_slice(c, 0, &[0; 4]);
+        assert_eq!(p.resident_frames(), 0);
+        p.write_slice(c, 0, &[7; 4]);
+        assert_eq!(p.resident_frames(), 1);
+        // Unwritten into written zero-fills the range.
+        p.copy(a, 0, c, 1, 2);
+        p.read_slice(c, 0, &mut out);
+        assert_eq!((out, p.resident_frames()), ([7, 0, 0, 7], 1));
+        // Written into unwritten materializes the destination.
+        p.copy(c, 0, b, 0, 4);
+        assert_eq!(p.read_u8(b, 3), 7);
+        assert_eq!((p.frame_count(), p.resident_frames()), (3, 2));
     }
 
     #[test]

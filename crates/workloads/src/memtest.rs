@@ -101,6 +101,17 @@ mod tests {
         assert_eq!((tlb.hits, tlb.misses), (262_464, 257));
     }
 
+    #[test]
+    fn memtest_materializes_only_written_frames() {
+        // The pager populates one frame per scanned page (64) beside its
+        // own granted page, but the scan only reads: the one frame holding
+        // host storage is the pager's page, where its fault messages land.
+        let mut run = build_kb(Config::process_np(), 256);
+        crate::common::try_finish(&mut run, 50_000_000_000).expect("memtest finishes");
+        let phys = run.kernel.phys();
+        assert_eq!((phys.frame_count(), phys.resident_frames()), (65, 1));
+    }
+
     /// KB-granular variant used by tests.
     fn build_kb(cfg: Config, kb: u32) -> WorkloadRun {
         let mut k = Kernelish::boot(cfg, 1); // 1MB backing
