@@ -129,7 +129,7 @@ impl Snap for EventQueue {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.usize()?;
-        let mut heap = BinaryHeap::with_capacity(n.min(1 << 20));
+        let mut heap = BinaryHeap::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             heap.push(Reverse(Event::restore(r)?));
         }

@@ -110,6 +110,140 @@ impl<T> Default for Arena<T> {
     }
 }
 
+/// Slots per [`PagedArena`] page.
+const PAGE_SLOTS: usize = 256;
+
+/// One [`PagedArena`] page: a slot per index, `None` until issued.
+type Page<T> = Box<[Option<T>; PAGE_SLOTS]>;
+
+/// An [`Arena`] kept in pages of [`PagedArena::PAGE`] slots, for a table
+/// whose indices are never reused and whose entries mostly die young (the
+/// connection table). A page is dropped once every one of its indices has
+/// been issued and vacated, and its buffer is reused for the next page, so
+/// the table holds host memory for live entries (plus the partly issued
+/// tail page and a pointer and a count per page number), not for every
+/// entry ever made. The interface and the snapshot encoding are
+/// [`Arena`]'s.
+#[derive(Debug, Clone)]
+pub struct PagedArena<T> {
+    /// One entry per page number; `None` once the page was dropped.
+    pages: Vec<Option<Page<T>>>,
+    /// Live entries per page number.
+    live: Vec<u32>,
+    /// Indices issued so far: one past the largest.
+    issued: usize,
+    /// A dropped page, every slot vacated, kept for the next page.
+    spare: Option<Page<T>>,
+}
+
+impl<T> PagedArena<T> {
+    /// Slots per page.
+    pub const PAGE: usize = PAGE_SLOTS;
+
+    /// An empty arena.
+    pub fn new() -> Self {
+        PagedArena {
+            pages: Vec::new(),
+            live: Vec::new(),
+            issued: 0,
+            spare: None,
+        }
+    }
+
+    /// Insert a value, returning its index.
+    pub fn insert(&mut self, value: T) -> u32 {
+        self.push(Some(value))
+    }
+
+    /// Issue the next index holding `slot` (a vacated one if `None`).
+    fn push(&mut self, slot: Option<T>) -> u32 {
+        let idx = self.issued;
+        let (p, o) = (idx / PAGE_SLOTS, idx % PAGE_SLOTS);
+        if o == 0 {
+            let page = self.spare.take().unwrap_or_else(|| {
+                let slots: Box<[Option<T>]> = (0..PAGE_SLOTS).map(|_| None).collect();
+                slots.try_into().ok().expect("a page is PAGE_SLOTS long")
+            });
+            self.pages.push(Some(page));
+            self.live.push(0);
+        }
+        self.live[p] += slot.is_some() as u32;
+        self.pages[p].as_mut().expect("the tail page is held")[o] = slot;
+        self.issued += 1;
+        if o == PAGE_SLOTS - 1 && self.live[p] == 0 {
+            self.drop_page(p);
+        }
+        idx as u32
+    }
+
+    /// Drop page `p`, whose slots are all vacated, keeping it as the
+    /// spare.
+    fn drop_page(&mut self, p: usize) {
+        let page = self.pages[p].take();
+        if self.spare.is_none() {
+            self.spare = page;
+        }
+    }
+
+    /// Get a live entry.
+    #[inline]
+    pub fn get(&self, idx: u32) -> Option<&T> {
+        let i = idx as usize;
+        self.pages.get(i / PAGE_SLOTS)?.as_ref()?[i % PAGE_SLOTS].as_ref()
+    }
+
+    /// Get a live entry mutably.
+    #[inline]
+    pub fn get_mut(&mut self, idx: u32) -> Option<&mut T> {
+        let i = idx as usize;
+        self.pages.get_mut(i / PAGE_SLOTS)?.as_mut()?[i % PAGE_SLOTS].as_mut()
+    }
+
+    /// Remove an entry, returning it; the last entry out of a fully
+    /// issued page drops the page.
+    pub fn remove(&mut self, idx: u32) -> Option<T> {
+        let i = idx as usize;
+        let p = i / PAGE_SLOTS;
+        let value = self.pages.get_mut(p)?.as_mut()?[i % PAGE_SLOTS].take()?;
+        self.live[p] -= 1;
+        if self.live[p] == 0 && (p + 1) * PAGE_SLOTS <= self.issued {
+            self.drop_page(p);
+        }
+        Some(value)
+    }
+
+    /// Iterate over live entries with their indices, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(p, page)| page.as_ref().map(|page| (p * PAGE_SLOTS, page)))
+            .flat_map(|(base, page)| {
+                page.iter()
+                    .enumerate()
+                    .filter_map(move |(o, s)| s.as_ref().map(|v| ((base + o) as u32, v)))
+            })
+    }
+
+    /// Number of slots, live or vacated: one past the largest index ever
+    /// issued (indices are never reused).
+    pub fn slots(&self) -> usize {
+        self.issued
+    }
+
+    /// Pages currently holding host storage: at most the pages with a live
+    /// entry plus the tail page.
+    pub fn held_pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
+}
+
+impl<T> Default for PagedArena<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,5 +298,31 @@ impl<T: Snap> Snap for Arena<T> {
         Ok(Arena {
             slots: Snap::restore(r)?,
         })
+    }
+}
+
+// Byte for byte the encoding of the dense `Vec<Option<T>>`: the slot
+// count, then a tag per slot, a dropped page written as `PAGE` vacated
+// slots. Restore issues slot by slot, so vacated pages drop as it goes.
+impl<T: Snap> Snap for PagedArena<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.issued);
+        for (p, page) in self.pages.iter().enumerate() {
+            match page {
+                Some(page) => {
+                    let issued = PAGE_SLOTS.min(self.issued - p * PAGE_SLOTS);
+                    page[..issued].iter().for_each(|s| s.snap(w));
+                }
+                None => w.raw(&[0; PAGE_SLOTS]),
+            }
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.usize()?;
+        let mut arena = PagedArena::new();
+        for _ in 0..n {
+            arena.push(Snap::restore(r)?);
+        }
+        Ok(arena)
     }
 }

@@ -293,14 +293,7 @@ impl Kernel {
                 self.stats.conn_unlinks_fast += 1;
             }
         }
-        let mut ends = Vec::new();
-        if let ClientEnd::Thread(t) = c.client {
-            ends.push(t);
-        }
-        if let Some(s) = c.server {
-            ends.push(s);
-        }
-        for t in ends {
+        for t in c.client_thread().into_iter().chain(c.server) {
             let Some(th) = self.threads.get_mut(t.0) else {
                 continue;
             };

@@ -84,7 +84,7 @@ use fluke_arch::{Cpu, Program, ProgramId, Trap, UserRegs};
 use crate::config::{Config, ConfigError, ExecModel};
 use crate::conn::Connection;
 use crate::events::{EventKind, EventQueue};
-use crate::ids::{Arena, SpaceId, ThreadId};
+use crate::ids::{Arena, PagedArena, SpaceId, ThreadId};
 use crate::kfault::Kfault;
 use crate::kprof::{Kprof, Phase};
 use crate::kspan::Kspan;
@@ -252,7 +252,7 @@ pub struct Kernel {
     pub(crate) threads: Arena<Thread>,
     pub(crate) spaces: Arena<Space>,
     pub(crate) objects: ObjectTable,
-    pub(crate) conns: Arena<Connection>,
+    pub(crate) conns: PagedArena<Connection>,
     pub(crate) programs: Vec<Arc<Program>>,
     pub(crate) phys: PhysMem,
     /// Ready queues: one per CPU, or one shared by every CPU under
@@ -335,7 +335,7 @@ impl Kernel {
             threads: Arena::new(),
             spaces: Arena::new(),
             objects: ObjectTable::new(),
-            conns: Arena::new(),
+            conns: PagedArena::new(),
             programs: Vec::new(),
             phys: PhysMem::new(),
             runqs,

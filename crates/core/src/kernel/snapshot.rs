@@ -102,7 +102,7 @@ fn snap_locks(locks: &LockTable, w: &mut SnapWriter) {
 /// (decoded later in the stream) before any class vector is sized.
 fn restore_lock_entries(r: &mut SnapReader<'_>) -> Result<Vec<(LockKey, u64)>, SnapError> {
     let n = r.usize()?;
-    let mut v = Vec::with_capacity(n.min(1 << 16));
+    let mut v = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         v.push((LockKey::restore(r)?, r.u64()?));
     }

@@ -48,7 +48,7 @@
 //! input or rebuild a derived index (`BufferedMsg`, `TraceRing`,
 //! `PerSysCounts`, `ReadyQueue`, `PerCpuQueues`, `ObjectTable`, `MapIndex`,
 //! `Tlb`, `PhysMem`, `EventQueue`, `WaitQueue`, `Program`, `Cpu`,
-//! `KfaultConfig`, `Arena`).
+//! `KfaultConfig`, `Arena`, `PagedArena`).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
@@ -341,6 +341,13 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Invalid("non-utf8 string"))
     }
 
+    /// Capacity to reserve for a collection whose prefix claims `n`
+    /// elements: every element encodes to at least one byte, so no more
+    /// than the bytes left can be real, however large the claim.
+    pub fn capacity_for(&self, n: usize) -> usize {
+        n.min(self.bytes.len() - self.pos)
+    }
+
     /// Whether the reader consumed every byte.
     pub fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
@@ -534,7 +541,7 @@ impl<T: Snap> Snap for Vec<T> {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.usize()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let mut out = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             out.push(T::restore(r)?);
         }
@@ -551,7 +558,7 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.usize()?;
-        let mut out = VecDeque::with_capacity(n.min(1 << 20));
+        let mut out = VecDeque::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             out.push_back(T::restore(r)?);
         }
@@ -593,7 +600,7 @@ impl<K: Snap + Ord + Eq + Hash, V: Snap> Snap for HashMap<K, V> {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.usize()?;
-        let mut out = HashMap::with_capacity(n.min(1 << 20));
+        let mut out = HashMap::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let k = K::restore(r)?;
             let v = V::restore(r)?;

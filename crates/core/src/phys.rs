@@ -185,7 +185,7 @@ impl Snap for PhysMem {
     }
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.usize()?;
-        let mut frames = Vec::with_capacity(n.min(1 << 16));
+        let mut frames = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let bytes = r.take(PAGE_SIZE as usize)?;
             frames.push((!is_zero(bytes)).then(|| {

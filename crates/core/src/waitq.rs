@@ -248,7 +248,7 @@ impl<T: Snap + Copy + Eq + Hash> Snap for WaitQueue<T> {
     fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let next_gen = r.u64()?;
         let n = r.usize()?;
-        let mut ring = VecDeque::with_capacity(n.min(1 << 20));
+        let mut ring = VecDeque::with_capacity(r.capacity_for(n));
         let mut live = HashMap::new();
         for _ in 0..n {
             let x = T::restore(r)?;
